@@ -1,120 +1,23 @@
 """Le numbers, polar numbers and sectional Milnor numbers of polynomial
 hypersurface singularities at the origin, with exact rational arithmetic
-throughout."""
+throughout.
 
-from .poly import (
-    Frame,
-    ParseError,
-    Polynomial,
-    apply_frame,
-    iomdine,
-    parse,
-    restrict,
-)
-from .orders import GREVLEX, LEX, LOCAL, MonomialOrder, elimination_order
-from .groebner import Basis, Ideal, eliminate, ideal_quotient, intersect, radical_member, saturate
-from .local import (
-    hilbert_numerator,
-    hs_multiplicity,
-    local_dim,
-    local_quotient_dim,
-    local_standard_basis,
-    m_primary_colength,
-    mora_normal_form,
-    mora_quotient_dim,
-    standard_monomial_count,
-)
-from .cycles import (
-    LeRecord,
-    MprBounds,
-    generic_le,
-    germ_subset,
-    intersection_number,
-    lambda_numbers,
-    mpr_bounds,
-    mpr_exact,
-    polar_curve_mult,
-    polar_ideal,
-    polar_mult,
-    polar_ratios,
-    sigma_ideal,
-    slice_check,
-)
-from .milnor import SectionalProfile, TeissierReport, milnor, sectional, teissier_chain
-from .checks import (
-    IneqReport,
-    SearchResult,
-    check_dagger,
-    check_funbound,
-    check_leiom,
-    check_mainmany,
-    check_mainone,
-    check_newmpr_and_easybound,
-    check_suspension,
-    check_teissier,
-    search_dagger,
-)
+The package exports the functions of the README's Library section and the
+types they take and return; the checkers live in lenumbers.checks."""
+
+from . import checks
+from .cycles import LeRecord, generic_le, lambda_numbers
+from .milnor import milnor
+from .poly import Frame, Polynomial, parse
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Frame",
-    "ParseError",
-    "Polynomial",
-    "apply_frame",
-    "iomdine",
-    "parse",
-    "restrict",
-    "GREVLEX",
-    "LEX",
-    "LOCAL",
-    "MonomialOrder",
-    "elimination_order",
-    "Basis",
-    "Ideal",
-    "eliminate",
-    "ideal_quotient",
-    "intersect",
-    "radical_member",
-    "saturate",
-    "hilbert_numerator",
-    "hs_multiplicity",
-    "local_dim",
-    "local_quotient_dim",
-    "local_standard_basis",
-    "m_primary_colength",
-    "mora_normal_form",
-    "mora_quotient_dim",
-    "standard_monomial_count",
     "LeRecord",
-    "MprBounds",
+    "Polynomial",
     "generic_le",
-    "germ_subset",
-    "intersection_number",
     "lambda_numbers",
-    "mpr_bounds",
-    "mpr_exact",
-    "polar_curve_mult",
-    "polar_ideal",
-    "polar_mult",
-    "polar_ratios",
-    "sigma_ideal",
-    "slice_check",
-    "SectionalProfile",
-    "TeissierReport",
     "milnor",
-    "sectional",
-    "teissier_chain",
-    "IneqReport",
-    "SearchResult",
-    "check_dagger",
-    "check_funbound",
-    "check_leiom",
-    "check_mainmany",
-    "check_mainone",
-    "check_newmpr_and_easybound",
-    "check_suspension",
-    "check_teissier",
-    "search_dagger",
-    "__version__",
+    "parse",
 ]

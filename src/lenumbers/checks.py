@@ -19,15 +19,15 @@ from typing import Iterable, Sequence
 from .cycles import (
     LeRecord,
     generic_le,
-    intersection_number,
     germ_subset,
     lambda_numbers,
     mpr_bounds,
     mpr_exact,
-    polar_curve_mult,
-    polar_ideal,
+    polar_curve,
     polar_mult,
     sigma_ideal,
+    slice_lam0,
+    why_not_singular,
 )
 from .groebner import Ideal
 from .local import local_dim
@@ -419,13 +419,7 @@ def search_dagger(
                 fp = parse(text, vars_)
             except ParseError as e:
                 raise ValueError(f"family instance {text!r}: {e}") from e
-            if (
-                fp.is_zero
-                or fp.constant_term != 0
-                or any(
-                    fp.partial(i).constant_term != 0 for i in range(len(fp.vars))
-                )
-            ):
+            if why_not_singular(fp) is not None:
                 rep = _skip("dagger", "not singular at the origin", instance=text)
             else:
                 (rep,) = check_dagger(fp, seed=seed, trials=trials, bound=bound)
@@ -572,7 +566,7 @@ def check_newmpr_and_easybound(
     if lam0 != 0:
         d0 = h.partial(0)
         try:
-            mg1 = polar_curve_mult(f, frame_used)
+            mg1 = polar_curve(h, rec).mult
         except ValueError:
             mg1 = None
         if mg1 is not None and not d0.is_zero:
@@ -647,21 +641,11 @@ def check_leiom(
     sig_h = sigma_ideal(h)
     target = Ideal(list(sig_h.gens) + [z0], vars=h.vars)
 
-    lam0_slice = None
-    h0 = h.set_var_zero(0)
-    if (
-        not h0.is_zero
-        and h0.constant_term == 0
-        and all(h0.partial(i).constant_term == 0 for i in range(len(h0.vars)))
-    ):
-        lam0_slice = lambda_numbers(h0).lam[0]
-
-    if s >= 1:
-        g1 = rec.gam[0]
-    else:
-        g1 = intersection_number(polar_ideal(f, frame_used, 1), [z0])
+    lam0_slice = slice_lam0(h)
+    curve = polar_curve(h, rec)
+    g1 = curve.gamma1
     try:
-        mult_g1 = polar_curve_mult(f, frame_used)
+        mult_g1 = curve.mult
     except ValueError:
         mult_g1 = None
     hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1

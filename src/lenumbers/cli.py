@@ -56,6 +56,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# check name -> checker, called with f, the parsed arguments and the frame,
+# seed, trials and bound keywords
+_CHECKERS = {
+    "funbound": lambda f, args, common: check_funbound(f, **common),
+    "leiom": lambda f, args, common: check_leiom(f, m=args.power, a=args.coeff, **common),
+    "mainone": lambda f, args, common: check_mainone(f, **common),
+    "mainmany": lambda f, args, common: check_mainmany(f, **common),
+    "dagger": lambda f, args, common: check_dagger(f, **common),
+    "suspension": lambda f, args, common: check_suspension(f, **common),
+    "newmpr": lambda f, args, common: check_newmpr_and_easybound(f, **common),
+    "teissier": lambda f, args, common: check_teissier(f, seed=common["seed"]),
+}
+
+
 def _common_flags(sp, with_poly=True):
     if with_poly:
         sp.add_argument("-f", "--poly", required=True, help="polynomial text")
@@ -89,19 +103,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("-k", type=int, default=None, help="slice dimension for sectional")
 
     ck = sub.add_parser("check", help="check one inequality")
-    ck.add_argument(
-        "name",
-        choices=[
-            "funbound",
-            "leiom",
-            "mainone",
-            "mainmany",
-            "dagger",
-            "suspension",
-            "newmpr",
-            "teissier",
-        ],
-    )
+    ck.add_argument("name", choices=list(_CHECKERS))
     _common_flags(ck)
     ck.add_argument("-m", "--power", type=int, default=None, help="leiom exponent")
     ck.add_argument("-a", "--coeff", type=int, default=None, help="leiom coefficient")
@@ -345,28 +347,13 @@ def _cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else 3
     vars_ = _parse_vars(args.vars)
     f = parse(args.poly, vars_)
+    _validate_singular(f)
     n1 = len(vars_)
     frame = None
     if args.frame != "random":
         frame = _concrete_frame(args.frame, n1, seed, args.bound)
     common = dict(frame=frame, seed=seed, trials=trials, bound=args.bound)
-
-    if args.name == "funbound":
-        reps = check_funbound(f, **common)
-    elif args.name == "teissier":
-        reps = check_teissier(f, seed=seed)
-    elif args.name == "mainone":
-        reps = check_mainone(f, **common)
-    elif args.name == "mainmany":
-        reps = check_mainmany(f, **common)
-    elif args.name == "dagger":
-        reps = check_dagger(f, **common)
-    elif args.name == "suspension":
-        reps = check_suspension(f, **common)
-    elif args.name == "newmpr":
-        reps = check_newmpr_and_easybound(f, **common)
-    else:
-        reps = check_leiom(f, m=args.power, a=args.coeff, **common)
+    reps = _CHECKERS[args.name](f, args, common)
 
     if not args.json_out:
         _print_reports(reps)
@@ -480,6 +467,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.bound < 1:
+            raise _InputError("--bound must be at least 1")
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "check":

@@ -19,12 +19,19 @@ local algebra per point (Cox, Little, O'Shea, Using Algebraic Geometry,
 ch. 4), and adding high enough powers of the variables cuts away every
 point but the origin.  The local standard basis (local_quotient_dim) is the
 fallback for final ideals with positive-dimensional components elsewhere.
+
+Each decision about the input and about the relative polar curve is made in
+one place: why_not_singular says whether f is singular at the origin;
+polar_curve gives Gamma^1 of a reframed polynomial, saturated once per Le
+record, with gamma^1 (counted as Gamma^1 . V(z0) when s = 0) and
+mult Gamma^1; slice_lam0 gives lambda^0 of the slice h|V(z0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .groebner import Ideal, radical_member, saturate
@@ -89,9 +96,7 @@ def _coordinate_index(p: Polynomial) -> int | None:
     return e.index(1)
 
 
-def intersection_number(
-    I: Ideal, forms: Sequence[Polynomial], diag: list | None = None
-) -> int | None:
+def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     """Local intersection number at the origin of the cycle of I with the
     given hypersurfaces, len(forms) matching the cycle dimension.
 
@@ -113,16 +118,10 @@ def intersection_number(
     standard basis (local_quotient_dim), which alone can tell a
     positive-dimensional germ at the origin from one elsewhere.
 
-    None means undefined: an improper slice or a degenerate form.  When a
-    list is passed as diag, a description of the failure is appended."""
+    None means undefined: an improper slice or a degenerate form."""
     d = len(forms)
     if d == 0:
         raise ValueError("need at least one hypersurface")
-
-    def fail(step: int, why: str) -> None:
-        if diag is not None:
-            diag.append(f"step {step}: {why}")
-        return None
 
     gens = list(I.gens)
     cur_vars = I.vars
@@ -145,7 +144,7 @@ def intersection_number(
     for step in range(d):
         form = work[step]
         if form.is_zero:
-            return fail(step, "zero slicing form")
+            return None
         if form.constant_term != 0:
             # hypersurface misses the origin; nothing left to count there
             return 0
@@ -158,18 +157,12 @@ def intersection_number(
         if ld == -1:
             return 0
         if ld != 1:
-            return fail(
-                d - 2, f"{ld}-dimensional at the origin going into the last slice"
-            )
+            return None
         gens = list(J.gens)
     take(d - 1, work[d - 1])
     K = Ideal(gens, vars=cur_vars)
     q = truncated_quotient_dim(K)
-    if q is None:
-        q = local_quotient_dim(K)
-    if q is None:
-        return fail(d - 1, "final slice left a positive-dimensional germ")
-    return q
+    return local_quotient_dim(K) if q is None else q
 
 
 @dataclass(frozen=True)
@@ -184,6 +177,10 @@ class LeRecord:
     frame: Frame
     seed: int | None = None
     verified: bool | None = None
+    # the relative polar curve of each reframed polynomial this record has
+    # served (polar_curve), so that every caller holding the record shares
+    # one saturation of Gamma^1
+    _curves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def defined(self) -> tuple:
@@ -205,14 +202,22 @@ class LeRecord:
         return tuple(reversed(self.lam)) + tuple(reversed(self.gam))
 
 
-def _validate_singular(f: Polynomial) -> None:
+def why_not_singular(f: Polynomial) -> str | None:
+    """Why f is not singular at the origin, or None when it is: f is nonzero,
+    f(0) = 0 and every first partial vanishes at the origin."""
     if f.is_zero:
-        raise ValueError("f must be nonzero")
+        return "f must be nonzero"
     if f.constant_term != 0:
-        raise ValueError("f(0) != 0")
-    for i in range(len(f.vars)):
-        if f.partial(i).constant_term != 0:
-            raise ValueError("the origin is not a critical point of f")
+        return "f(0) != 0"
+    if any(f.partial(i).constant_term != 0 for i in range(len(f.vars))):
+        return "the origin is not a critical point of f"
+    return None
+
+
+def _validate_singular(f: Polynomial) -> None:
+    why = why_not_singular(f)
+    if why is not None:
+        raise ValueError(why)
 
 
 def lambda_numbers(
@@ -284,6 +289,63 @@ def generic_le(
     )
 
 
+def _cycle_mult(P: Ideal, j: int) -> int:
+    """Multiplicity at the origin of the j-dimensional cycle of P; 0 when it
+    misses the origin, ValueError when it has another dimension there."""
+    ld = local_dim(P)
+    if ld == -1:
+        return 0
+    if ld != j:
+        raise ValueError(f"polar ideal is {ld}-dimensional, expected {j}")
+    return hs_multiplicity(P)
+
+
+class PolarCurve:
+    """The relative polar curve Gamma^1 of h, a polynomial already in the
+    frame of the Le record rec.  Its ideal is built and saturated at most
+    once, on first use; gamma^1 and mult Gamma^1 are both read from it."""
+
+    def __init__(self, h: Polynomial, rec: LeRecord):
+        self.h = h
+        self.rec = rec
+
+    @cached_property
+    def ideal(self) -> Ideal:
+        return _polar_of(self.h, 1)
+
+    @cached_property
+    def gamma1(self) -> int | None:
+        """gamma^1 = Gamma^1 . V(z0): the record's when s >= 1; a record
+        with s = 0 does not store it, so it is counted here."""
+        if self.rec.s >= 1:
+            return self.rec.gam[0]
+        return intersection_number(self.ideal, [Polynomial.var_index(0, self.h.vars)])
+
+    @cached_property
+    def mult(self) -> int:
+        """mult Gamma^1 at the origin; ValueError when Gamma^1 is not a
+        curve there."""
+        return _cycle_mult(self.ideal, 1)
+
+
+def polar_curve(h: Polynomial, rec: LeRecord) -> PolarCurve:
+    """Gamma^1 of h in the frame of rec, one per (h, rec): every caller
+    holding the same record reuses its ideal."""
+    curve = rec._curves.get(h)
+    if curve is None:
+        curve = rec._curves[h] = PolarCurve(h, rec)
+    return curve
+
+
+def slice_lam0(h: Polynomial) -> int | None:
+    """lambda^0 of h restricted to the hyperplane V(z0), in the identity
+    frame of the slice; None unless the slice is singular at the origin."""
+    h0 = h.set_var_zero(0)
+    if why_not_singular(h0) is not None:
+        return None
+    return lambda_numbers(h0).lam[0]
+
+
 def slice_check(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> bool | None:
     """Cross-check lambda^0 of f|V(z0) against gamma^1 + lambda^1.
 
@@ -294,39 +356,20 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> boo
     h = apply_frame(f, frame)
     if len(h.vars) == 1:
         return None
-    if rec.s >= 1:
-        g1, l1 = rec.gam[0], rec.lam[1]
-    else:
-        z0 = Polynomial.var_index(0, h.vars)
-        g1, l1 = intersection_number(_polar_of(h, 1), [z0]), 0
+    g1 = polar_curve(h, rec).gamma1
+    l1 = rec.lam[1] if rec.s >= 1 else 0
     if g1 is None or l1 is None:
         return None
-    h0 = h.set_var_zero(0)
-    if h0.is_zero or h0.constant_term != 0:
+    lam0 = slice_lam0(h)
+    if lam0 is None:
         return None
-    if any(h0.partial(i).constant_term != 0 for i in range(len(h0.vars))):
-        return None
-    rec0 = lambda_numbers(h0)
-    if rec0.lam[0] is None:
-        return None
-    return rec0.lam[0] == g1 + l1
+    return lam0 == g1 + l1
 
 
 def polar_mult(f: Polynomial, frame: Frame, j: int) -> int:
     """Multiplicity at the origin of the polar cycle Gamma^j; 0 when it
     misses the origin."""
-    P = polar_ideal(f, frame, j)
-    ld = local_dim(P)
-    if ld == -1:
-        return 0
-    if ld != j:
-        raise ValueError(f"polar ideal is {ld}-dimensional, expected {j}")
-    return hs_multiplicity(P)
-
-
-def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
-    """Multiplicity of the relative polar curve at the origin."""
-    return polar_mult(f, frame, 1)
+    return _cycle_mult(polar_ideal(f, frame, j), j)
 
 
 @dataclass(frozen=True)
@@ -347,12 +390,9 @@ def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> MprB
     lam0 = rec.lam[0]
     if lam0 is None:
         raise ValueError("lambda^0 undefined for this frame")
-    h = apply_frame(f, frame)
-    if rec.s >= 1:
-        g1 = rec.gam[0]
-    else:
-        g1 = intersection_number(_polar_of(h, 1), [Polynomial.var_index(0, h.vars)])
-    hyp = g1 is not None and g1 == polar_curve_mult(f, frame)
+    curve = polar_curve(apply_frame(f, frame), rec)
+    g1 = curve.gamma1
+    hyp = g1 is not None and g1 == curve.mult
     return MprBounds(
         lower=f.mult_origin() if (hyp and g1 != 0) else 1,
         upper_simple=lam0 + 1,

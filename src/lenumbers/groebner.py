@@ -6,15 +6,15 @@ ideal, so Buchberger, reduction and membership all work on integer data; the
 API converts back to monic Fraction polynomials at the boundary.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
-Gebauer-Moeller form of the product and chain criteria.  Ideal quotients go
-through intersections with principal ideals (one auxiliary variable, block
-elimination order); saturation iterates quotients to stabilization.
+Gebauer-Moeller form of the product and chain criteria.  Intersections and
+saturations by a principal ideal each take one auxiliary variable and a
+block elimination order; saturating by an ideal intersects the saturations
+by its generators.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 from fractions import Fraction
 from math import gcd
@@ -295,7 +295,7 @@ class Basis:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the basis (linear in p)."""
         if not self.order.is_global:
-            raise ValueError("full reduction needs a global order; see mora_normal_form")
+            raise ValueError("full reduction needs a global order")
         if p.vars != self.vars:
             raise ValueError("variable mismatch")
         if p.is_zero:
@@ -348,12 +348,6 @@ class Ideal:
         self._cache: dict[MonomialOrder, Basis] = {}
         self._lock = threading.Lock()
 
-    @classmethod
-    def _with_basis(cls, basis: Basis) -> "Ideal":
-        ideal = cls(basis.elements, vars=basis.vars)
-        ideal._cache[basis.order] = basis
-        return ideal
-
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -375,21 +369,8 @@ class Ideal:
     def contains(self, p: Polynomial) -> bool:
         return self.groebner().contains(p)
 
-    def equals(self, other: "Ideal") -> bool:
-        if self.vars != other.vars:
-            return False
-        return self.groebner().elements == other.groebner().elements
-
     def __repr__(self):
         return f"Ideal([{', '.join(str(g) for g in self.gens)}])"
-
-
-def groebner(I: Ideal, order: MonomialOrder = GREVLEX) -> Basis:
-    return I.groebner(order)
-
-
-def normal_form(p: Polynomial, basis: Basis) -> Polynomial:
-    return basis.normal_form(p)
 
 
 # -- ring plumbing ---------------------------------------------------------
@@ -454,53 +435,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return eliminate(Ideal(gens, vars=ext_vars), (len(I.vars),))
 
 
-def _divide_exact(p: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact division p/g; raises if g does not divide p."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    keyf = GREVLEX.key(len(p.vars))
-    h = dict(p.terms)
-    lm_g = max(g.terms, key=keyf)
-    lc_g = g.terms[lm_g]
-    q: dict[ExpVec, Fraction] = {}
-    while h:
-        m = max(h, key=keyf)
-        if not _divides(lm_g, m):
-            raise ArithmeticError("inexact polynomial division")
-        shift = tuple(a - b for a, b in zip(m, lm_g))
-        c = h[m] / lc_g
-        q[shift] = c
-        for e, v in g.terms.items():
-            ee = _mul_exp(e, shift)
-            nv = h.get(ee, Fraction(0)) - c * v
-            if nv:
-                h[ee] = nv
-            else:
-                h.pop(ee, None)
-    return Polynomial(p.vars, q)
-
-
-def _quotient_principal(I: Ideal, g: Polynomial) -> Ideal:
-    """I : (g) as (I cap (g)) / g."""
-    meet = intersect(I, Ideal([g], vars=I.vars))
-    return Ideal([_divide_exact(p, g) for p in meet.gens], vars=I.vars)
-
-
-def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
-    """I : J, generator by generator through principal intersections."""
-    if I.vars != J.vars:
-        raise ValueError("variable mismatch")
-    gens = [g for g in J.gens if not g.is_zero]
-    if not gens:
-        # I : (0) is the whole ring
-        return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
-    result: Ideal | None = None
-    for g in gens:
-        q = _quotient_principal(I, g)
-        result = q if result is None else intersect(result, q)
-    return result
-
-
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity as (I + (1 - t*g)) meet k[x]."""
     if g.is_zero:
@@ -533,33 +467,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         part = _saturate_principal(I, g)
         result = part if result is None else intersect(result, part)
     return result
-
-
-def dim(I: Ideal) -> int:
-    """Dimension of the affine variety of I (-1 if empty), from the leading
-    ideal via maximal independent variable sets."""
-    basis = I.groebner(GREVLEX)
-    if basis.contains_unit():
-        return -1
-    n = len(I.vars)
-    lms = _minimal_monomials(basis.leading_monomials())
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-    for size in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), size):
-            s = set(combo)
-            if not any(sup <= s for sup in supports):
-                return size
-    return -1  # pragma: no cover - size 0 always independent unless unit
-
-
-def _minimal_monomials(monos: Sequence[ExpVec]) -> list[ExpVec]:
-    out = []
-    for m in monos:
-        if any(o != m and _divides(o, m) for o in monos):
-            continue
-        if m not in out:
-            out.append(m)
-    return out
 
 
 def radical_member(g: Polynomial, I: Ideal) -> bool:

@@ -2,21 +2,14 @@
 
 Standard bases for the degree-first local order are computed by Lazard's
 homogenization trick: homogenize each generator, run the global engine under
-an order that restricts to the local one, set the new variable to 1.  Mora's
-tangent cone algorithm (weak normal forms with the ecart rule, intermediate
-results joining the reducer set) is kept alongside as an independent engine;
-it swells on dense generators but is the classical reference point.
+an order that restricts to the local one, set the new variable to 1.
 Dimension, colength and multiplicity of the local ring are read off the
 Hilbert series of the leading ideal, whose numerator we compute by the usual
 pivot recursion N(I) = N(I + (x)) + T*N(I : x).
 
-Further counting routes live here deliberately.  mora_quotient_dim reads the
-colength off the Mora engine's leading ideal, standard_monomial_count
-enumerates the staircase box directly, and m_primary_colength extracts the
-origin component globally (I : (I : m^infinity)) and counts its staircase.
-They share as little code as possible, so each can vouch for the others.
-truncated_quotient_dim is the production route for the last step of
-cycles.intersection_number.  For an ideal that is zero-dimensional globally
+Colengths have two production routes.  local_quotient_dim counts with the
+Lazard standard basis and works for any ideal.  truncated_quotient_dim is
+the route tried first for the last step of cycles.intersection_number.  For an ideal that is zero-dimensional globally
 it counts with grevlex bases only: the total colength N when the origin is
 the only point, else the colength of I + (x_1^e, ..., x_n^e) for the first
 e at which that stops growing.  Both are exact because a zero-dimensional
@@ -26,149 +19,16 @@ cut away every point but the origin.  On large final ideals it is far
 cheaper than the homogenized local computation.  For any other ideal it
 returns None and local_quotient_dim is used instead.
 
-The Buchberger pair criteria need care in the local order: divisibility no
-longer bounds monomials from below, which breaks the product criterion's
-proof, so the pair update here uses only the chain criterion.
+The tests check both against independent oracles kept beside them
+(tests/_oracles.py): Mora's tangent cone algorithm, a staircase count, and
+a global extraction of the component at the origin.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
-from .groebner import (
-    Basis,
-    Ideal,
-    IPoly,
-    _buchberger,
-    _divides,
-    _lcm_exp,
-    _mul_exp,
-    _normalize_sign,
-    _strip,
-    _to_int,
-    ideal_quotient,
-    saturate,
-)
-from .orders import GREVLEX, LOCAL, ExpVec, _grevlex_key
+from .groebner import Basis, Ideal, IPoly, _buchberger, _divides, _to_int
+from .orders import GREVLEX, LOCAL, ExpVec
 from .poly import Polynomial
-
-_MAX_REDUCTIONS = 200000
-
-
-def _max_deg(d: IPoly) -> int:
-    return max(sum(e) for e in d)
-
-
-def _mora_nf(h: IPoly, red: list[list], keyf) -> IPoly:
-    """Weak normal form of h: some unit multiple of h minus an ideal element,
-    with an irreducible leading monomial.  red entries are [lm, lc, ecart,
-    poly]; intermediate results with smaller ecart than every reducer join
-    the list for the duration of the call."""
-    T = list(red)
-    h = _strip(dict(h))
-    steps = 0
-    while h:
-        lm = max(h, key=keyf)
-        best = None
-        for idx, (glm, glc, gec, g) in enumerate(T):
-            if _divides(glm, lm):
-                if best is None or gec < best[2]:
-                    best = (glm, glc, gec, g)
-        if best is None:
-            return h
-        glm, glc, gec, g = best
-        deg = sum(lm)
-        ecart_h = _max_deg(h) - deg
-        if gec > ecart_h:
-            T.append([lm, h[lm], ecart_h, dict(h)])
-        c = h[lm]
-        shift = tuple(a - b for a, b in zip(lm, glm))
-        nh: IPoly = {e: glc * v for e, v in h.items()}
-        for e, v in g.items():
-            ee = _mul_exp(e, shift)
-            nv = nh.get(ee, 0) - c * v
-            if nv:
-                nh[ee] = nv
-            else:
-                nh.pop(ee, None)
-        h = _strip(nh)
-        steps += 1
-        if steps > _MAX_REDUCTIONS:  # pragma: no cover - safety valve
-            raise RuntimeError("local reduction did not terminate")
-    return h
-
-
-def _update_pairs_local(lms: list[ExpVec], pairs: set[tuple[int, int]], t: int):
-    """Pair update by the chain criterion alone (safe for local orders)."""
-    lmt = lms[t]
-    lcms = {i: _lcm_exp(lms[i], lmt) for i in range(t)}
-    drop = set()
-    for (i, j) in pairs:
-        lij = _lcm_exp(lms[i], lms[j])
-        if _divides(lmt, lij) and lcms[i] != lij and lcms[j] != lij:
-            drop.add((i, j))
-    pairs -= drop
-    for i in range(t):
-        li = lcms[i]
-        if any(
-            j != i and _divides(lcms[j], li) and lcms[j] != li for j in range(t)
-        ):
-            continue
-        pairs.add((i, t))
-
-
-def _standard_basis_ints(gens: list[IPoly], keyf) -> list[IPoly]:
-    G: list[list] = []
-    lms: list[ExpVec] = []
-    pairs: set[tuple[int, int]] = set()
-
-    def add(d: IPoly):
-        d = _normalize_sign(d, keyf)
-        lm = max(d, key=keyf)
-        G.append([lm, d[lm], _max_deg(d) - sum(lm), d])
-        lms.append(lm)
-        _update_pairs_local(lms, pairs, len(G) - 1)
-
-    for d in gens:
-        if d:
-            add(_strip(d))
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (_grevlex_key(_lcm_exp(lms[p[0]], lms[p[1]])), p[1], p[0]),
-        )
-        pairs.discard((i, j))
-        lcm = _lcm_exp(lms[i], lms[j])
-        si = tuple(a - b for a, b in zip(lcm, lms[i]))
-        sj = tuple(a - b for a, b in zip(lcm, lms[j]))
-        s: IPoly = {}
-        for e, v in G[i][3].items():
-            s[_mul_exp(e, si)] = G[j][1] * v
-        for e, v in G[j][3].items():
-            ee = _mul_exp(e, sj)
-            nv = s.get(ee, 0) - G[i][1] * v
-            if nv:
-                s[ee] = nv
-            else:
-                s.pop(ee, None)
-        if not s:
-            continue
-        r = _mora_nf(_strip(s), G, keyf)
-        if r:
-            add(r)
-    # minimal (not reduced: tail reduction need not terminate locally)
-    keep = []
-    for idx, lm in enumerate(lms):
-        if any(
-            o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
-            for o in range(len(lms))
-        ):
-            continue
-        keep.append(idx)
-    out = [G[i][3] for i in keep]
-    out.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
-    return out
 
 
 def _homog_key(e: ExpVec) -> tuple:
@@ -203,29 +63,6 @@ def local_standard_basis(I: Ideal) -> Basis:
     with I._lock:
         I._cache.setdefault(LOCAL, basis)
     return basis
-
-
-def mora_normal_form(p: Polynomial, basis: Basis) -> Polynomial:
-    """Weak normal form of p against a local standard basis: zero exactly
-    when p lies in the ideal of the localization at the origin."""
-    if basis.order != LOCAL:
-        raise ValueError("mora_normal_form needs a local-order basis")
-    if p.vars != basis.vars:
-        raise ValueError("variable mismatch")
-    if p.is_zero:
-        return p
-    keyf = LOCAL.key(len(basis.vars))
-    red = [[lm, lc, _max_deg(d) - sum(lm), d] for lm, lc, d in basis._red]
-    r = _mora_nf(_to_int(p), red, keyf)
-    if not r:
-        return Polynomial.zero(p.vars)
-    lm = max(r, key=keyf)
-    return Polynomial(p.vars, {e: Fraction(v, r[lm]) for e, v in r.items()})
-
-
-def local_leading_monomials(I: Ideal) -> tuple[ExpVec, ...]:
-    basis = local_standard_basis(I)
-    return tuple(lm for lm, _, _ in basis._red)
 
 
 # -- Hilbert series of a monomial ideal ------------------------------------
@@ -378,20 +215,6 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     return ce
 
 
-def mora_quotient_dim(I: Ideal) -> int | None:
-    """local_quotient_dim with the Mora engine in place of the
-    homogenization route; an independent cross-check, not a fast path."""
-    keyf = LOCAL.key(len(I.vars))
-    ints = _standard_basis_ints([_to_int(g) for g in I.gens if not g.is_zero], keyf)
-    lms = [max(d, key=keyf) for d in ints]
-    if any(sum(lm) == 0 for lm in lms):
-        return 0
-    c, q = _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
-    if c < len(I.vars):
-        return None
-    return sum(q)
-
-
 def hs_multiplicity(I: Ideal) -> int:
     """Hilbert-Samuel multiplicity of the local ring at the origin."""
     basis = local_standard_basis(I)
@@ -400,52 +223,3 @@ def hs_multiplicity(I: Ideal) -> int:
         raise ValueError("origin does not lie on the variety")
     _, q = _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
     return sum(q)
-
-
-# -- independent counting routes -------------------------------------------
-
-
-def standard_monomial_count(lms, nvars: int, limit: int = 10**7) -> int | None:
-    """Count monomials outside the monomial ideal by walking the staircase
-    box; None when the count is infinite (some variable has no pure power)."""
-    gens = list(_minimalize(frozenset(lms)))
-    if any(sum(e) == 0 for e in gens):
-        return 0
-    bounds = [None] * nvars
-    for e in gens:
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        return None
-    size = 1
-    for b in bounds:
-        size *= b
-    if size > limit:
-        raise RuntimeError("staircase box too large to enumerate")
-    count = 0
-    for m in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(e, m) for e in gens):
-            count += 1
-    return count
-
-
-def m_primary_colength(I: Ideal) -> int:
-    """Colength of the origin component of I, found globally: saturate away
-    everything through other points (I : m^infinity), then quotient back.
-    Agrees with local_quotient_dim whenever that is finite."""
-    m = Ideal(
-        [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))],
-        vars=I.vars,
-    )
-    away = saturate(I, m)
-    origin = ideal_quotient(I, away)
-    basis = origin.groebner(GREVLEX)
-    if basis.contains_unit():
-        return 0
-    count = standard_monomial_count(basis.leading_monomials(), len(I.vars))
-    if count is None:
-        raise ValueError("origin component is not zero-dimensional")
-    return count

@@ -37,8 +37,9 @@ def sectional(f: Polynomial, k: int, seed: int = 0) -> int | None:
 
     Two independent random planes per round must agree; otherwise the bound
     doubles, and after the last round the smallest defined value wins (a
-    special plane can only overshoot).  None when no sampled section had an
-    isolated singularity."""
+    special plane can only overshoot).  A plane inside V(f) counts as
+    undefined, like one whose section is not isolated.  None when no sampled
+    section had an isolated singularity."""
     n1 = len(f.vars)
     if not 0 <= k <= n1:
         raise ValueError(f"need 0 <= k <= {n1}")
@@ -46,11 +47,16 @@ def sectional(f: Polynomial, k: int, seed: int = 0) -> int | None:
         return 1
     if k == n1:
         return milnor(f)
+
+    def draw(round_: int, i: int, bound: int) -> int | None:
+        g = restrict(f, k, seed=_section_seed(seed, k, round_, i), bound=bound)
+        return None if g.is_zero else milnor(g)
+
     best = None
     bound = 10
     for round_ in range(5):
-        a = milnor(restrict(f, k, seed=_section_seed(seed, k, round_, 0), bound=bound))
-        b = milnor(restrict(f, k, seed=_section_seed(seed, k, round_, 1), bound=bound))
+        a = draw(round_, 0, bound)
+        b = draw(round_, 1, bound)
         if a is not None and a == b:
             return a
         for value in (a, b):

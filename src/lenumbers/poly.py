@@ -487,6 +487,9 @@ class Frame:
 
     @classmethod
     def random(cls, n: int, seed: int, bound: int = 10) -> "Frame":
+        """Seeded frame with integer entries in [-bound, bound]."""
+        if bound < 1:
+            raise ValueError("coefficient bound must be at least 1")
         rng = random.Random(seed)
         while True:
             rows = tuple(
@@ -511,16 +514,6 @@ class Frame:
                     f = m[r][col]
                     m[r] = [a - f * b for a, b in zip(m[r], m[col])]
         return [row[n:] for row in m]
-
-    def compose(self, other: "Frame") -> "Frame":
-        """The frame whose coordinates are self's, read in other's coordinates."""
-        a, b = self.matrix, other.matrix
-        n = self.n
-        rows = tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-            for i in range(n)
-        )
-        return Frame(rows, seed=self.seed)
 
 
 def apply_frame(p: Polynomial, frame: Frame) -> Polynomial:
@@ -558,6 +551,8 @@ def restrict(
     n = len(f.vars)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
+    if bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
     if k == n:
         return f
     if frame is not None:

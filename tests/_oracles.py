@@ -1,0 +1,341 @@
+"""Reference implementations the tests compare the library against.
+
+Each computes a quantity the library also computes, by a route that shares
+as little code as possible with the production one, so that agreement is
+evidence:
+
+- Mora's tangent cone algorithm (weak normal forms with the ecart rule,
+  intermediate results joining the reducer set) in place of Lazard's
+  homogenization.  It swells on dense generators but is the classical
+  reference point.  The Buchberger pair criteria need care in the local
+  order: divisibility no longer bounds monomials from below, which breaks
+  the product criterion's proof, so its pair update uses only the chain
+  criterion.
+- standard_monomial_count enumerates the staircase box directly instead of
+  reading the Hilbert series.
+- m_primary_colength extracts the origin component globally
+  (I : (I : m^infinity)) and counts its staircase.
+- dim reads the global dimension off maximal independent variable sets.
+- polar_curve_mult builds the polar curve afresh from f and the frame,
+  where the library reads it from cycles.PolarCurve.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Sequence
+
+from lenumbers.cycles import polar_mult
+from lenumbers.groebner import (
+    Basis,
+    Ideal,
+    IPoly,
+    _divides,
+    _lcm_exp,
+    _mul_exp,
+    _normalize_sign,
+    _strip,
+    _to_int,
+    intersect,
+    saturate,
+)
+from lenumbers.local import (
+    _minimalize,
+    _strip_one_minus_t,
+    hilbert_numerator,
+    local_standard_basis,
+)
+from lenumbers.orders import GREVLEX, LOCAL, ExpVec, _grevlex_key
+from lenumbers.poly import Frame, Polynomial
+
+
+# -- Mora's tangent cone algorithm -----------------------------------------
+
+_MAX_REDUCTIONS = 200000
+
+
+def _max_deg(d: IPoly) -> int:
+    return max(sum(e) for e in d)
+
+
+def _mora_nf(h: IPoly, red: list[list], keyf) -> IPoly:
+    """Weak normal form of h: some unit multiple of h minus an ideal element,
+    with an irreducible leading monomial.  red entries are [lm, lc, ecart,
+    poly]; intermediate results with smaller ecart than every reducer join
+    the list for the duration of the call."""
+    T = list(red)
+    h = _strip(dict(h))
+    steps = 0
+    while h:
+        lm = max(h, key=keyf)
+        best = None
+        for idx, (glm, glc, gec, g) in enumerate(T):
+            if _divides(glm, lm):
+                if best is None or gec < best[2]:
+                    best = (glm, glc, gec, g)
+        if best is None:
+            return h
+        glm, glc, gec, g = best
+        deg = sum(lm)
+        ecart_h = _max_deg(h) - deg
+        if gec > ecart_h:
+            T.append([lm, h[lm], ecart_h, dict(h)])
+        c = h[lm]
+        shift = tuple(a - b for a, b in zip(lm, glm))
+        nh: IPoly = {e: glc * v for e, v in h.items()}
+        for e, v in g.items():
+            ee = _mul_exp(e, shift)
+            nv = nh.get(ee, 0) - c * v
+            if nv:
+                nh[ee] = nv
+            else:
+                nh.pop(ee, None)
+        h = _strip(nh)
+        steps += 1
+        if steps > _MAX_REDUCTIONS:  # pragma: no cover - safety valve
+            raise RuntimeError("local reduction did not terminate")
+    return h
+
+
+def _update_pairs_local(lms: list[ExpVec], pairs: set[tuple[int, int]], t: int):
+    """Pair update by the chain criterion alone (safe for local orders)."""
+    lmt = lms[t]
+    lcms = {i: _lcm_exp(lms[i], lmt) for i in range(t)}
+    drop = set()
+    for (i, j) in pairs:
+        lij = _lcm_exp(lms[i], lms[j])
+        if _divides(lmt, lij) and lcms[i] != lij and lcms[j] != lij:
+            drop.add((i, j))
+    pairs -= drop
+    for i in range(t):
+        li = lcms[i]
+        if any(
+            j != i and _divides(lcms[j], li) and lcms[j] != li for j in range(t)
+        ):
+            continue
+        pairs.add((i, t))
+
+
+def _standard_basis_ints(gens: list[IPoly], keyf) -> list[IPoly]:
+    G: list[list] = []
+    lms: list[ExpVec] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def add(d: IPoly):
+        d = _normalize_sign(d, keyf)
+        lm = max(d, key=keyf)
+        G.append([lm, d[lm], _max_deg(d) - sum(lm), d])
+        lms.append(lm)
+        _update_pairs_local(lms, pairs, len(G) - 1)
+
+    for d in gens:
+        if d:
+            add(_strip(d))
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda p: (_grevlex_key(_lcm_exp(lms[p[0]], lms[p[1]])), p[1], p[0]),
+        )
+        pairs.discard((i, j))
+        lcm = _lcm_exp(lms[i], lms[j])
+        si = tuple(a - b for a, b in zip(lcm, lms[i]))
+        sj = tuple(a - b for a, b in zip(lcm, lms[j]))
+        s: IPoly = {}
+        for e, v in G[i][3].items():
+            s[_mul_exp(e, si)] = G[j][1] * v
+        for e, v in G[j][3].items():
+            ee = _mul_exp(e, sj)
+            nv = s.get(ee, 0) - G[i][1] * v
+            if nv:
+                s[ee] = nv
+            else:
+                s.pop(ee, None)
+        if not s:
+            continue
+        r = _mora_nf(_strip(s), G, keyf)
+        if r:
+            add(r)
+    # minimal (not reduced: tail reduction need not terminate locally)
+    keep = []
+    for idx, lm in enumerate(lms):
+        if any(
+            o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
+            for o in range(len(lms))
+        ):
+            continue
+        keep.append(idx)
+    out = [G[i][3] for i in keep]
+    out.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
+    return out
+
+
+def mora_normal_form(p: Polynomial, basis: Basis) -> Polynomial:
+    """Weak normal form of p against a local standard basis: zero exactly
+    when p lies in the ideal of the localization at the origin."""
+    if basis.order != LOCAL:
+        raise ValueError("mora_normal_form needs a local-order basis")
+    if p.vars != basis.vars:
+        raise ValueError("variable mismatch")
+    if p.is_zero:
+        return p
+    keyf = LOCAL.key(len(basis.vars))
+    red = [[lm, lc, _max_deg(d) - sum(lm), d] for lm, lc, d in basis._red]
+    r = _mora_nf(_to_int(p), red, keyf)
+    if not r:
+        return Polynomial.zero(p.vars)
+    lm = max(r, key=keyf)
+    return Polynomial(p.vars, {e: Fraction(v, r[lm]) for e, v in r.items()})
+
+
+def local_leading_monomials(I: Ideal) -> tuple[ExpVec, ...]:
+    basis = local_standard_basis(I)
+    return tuple(lm for lm, _, _ in basis._red)
+
+
+def mora_quotient_dim(I: Ideal) -> int | None:
+    """local_quotient_dim with the Mora engine in place of the
+    homogenization route; an independent cross-check, not a fast path."""
+    keyf = LOCAL.key(len(I.vars))
+    ints = _standard_basis_ints([_to_int(g) for g in I.gens if not g.is_zero], keyf)
+    lms = [max(d, key=keyf) for d in ints]
+    if any(sum(lm) == 0 for lm in lms):
+        return 0
+    c, q = _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
+    if c < len(I.vars):
+        return None
+    return sum(q)
+
+
+# -- colength counts ------------------------------------------------------
+
+
+def standard_monomial_count(lms, nvars: int, limit: int = 10**7) -> int | None:
+    """Count monomials outside the monomial ideal by walking the staircase
+    box; None when the count is infinite (some variable has no pure power)."""
+    gens = list(_minimalize(frozenset(lms)))
+    if any(sum(e) == 0 for e in gens):
+        return 0
+    bounds = [None] * nvars
+    for e in gens:
+        support = [i for i, x in enumerate(e) if x]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or e[i] < bounds[i]:
+                bounds[i] = e[i]
+    if any(b is None for b in bounds):
+        return None
+    size = 1
+    for b in bounds:
+        size *= b
+    if size > limit:
+        raise RuntimeError("staircase box too large to enumerate")
+    count = 0
+    for m in itertools.product(*(range(b) for b in bounds)):
+        if not any(_divides(e, m) for e in gens):
+            count += 1
+    return count
+
+
+def m_primary_colength(I: Ideal) -> int:
+    """Colength of the origin component of I, found globally: saturate away
+    everything through other points (I : m^infinity), then quotient back.
+    Agrees with local_quotient_dim whenever that is finite."""
+    m = Ideal(
+        [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))],
+        vars=I.vars,
+    )
+    away = saturate(I, m)
+    origin = ideal_quotient(I, away)
+    basis = origin.groebner(GREVLEX)
+    if basis.contains_unit():
+        return 0
+    count = standard_monomial_count(basis.leading_monomials(), len(I.vars))
+    if count is None:
+        raise ValueError("origin component is not zero-dimensional")
+    return count
+
+
+# -- global ideal operations ---------------------------------------------
+
+
+def _divide_exact(p: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact division p/g; raises if g does not divide p."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    keyf = GREVLEX.key(len(p.vars))
+    h = dict(p.terms)
+    lm_g = max(g.terms, key=keyf)
+    lc_g = g.terms[lm_g]
+    q: dict[ExpVec, Fraction] = {}
+    while h:
+        m = max(h, key=keyf)
+        if not _divides(lm_g, m):
+            raise ArithmeticError("inexact polynomial division")
+        shift = tuple(a - b for a, b in zip(m, lm_g))
+        c = h[m] / lc_g
+        q[shift] = c
+        for e, v in g.terms.items():
+            ee = _mul_exp(e, shift)
+            nv = h.get(ee, Fraction(0)) - c * v
+            if nv:
+                h[ee] = nv
+            else:
+                h.pop(ee, None)
+    return Polynomial(p.vars, q)
+
+
+def _quotient_principal(I: Ideal, g: Polynomial) -> Ideal:
+    """I : (g) as (I cap (g)) / g."""
+    meet = intersect(I, Ideal([g], vars=I.vars))
+    return Ideal([_divide_exact(p, g) for p in meet.gens], vars=I.vars)
+
+
+def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
+    """I : J, generator by generator through principal intersections."""
+    if I.vars != J.vars:
+        raise ValueError("variable mismatch")
+    gens = [g for g in J.gens if not g.is_zero]
+    if not gens:
+        # I : (0) is the whole ring
+        return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
+    result: Ideal | None = None
+    for g in gens:
+        q = _quotient_principal(I, g)
+        result = q if result is None else intersect(result, q)
+    return result
+
+
+def dim(I: Ideal) -> int:
+    """Dimension of the affine variety of I (-1 if empty), from the leading
+    ideal via maximal independent variable sets."""
+    basis = I.groebner(GREVLEX)
+    if basis.contains_unit():
+        return -1
+    n = len(I.vars)
+    lms = _minimal_monomials(basis.leading_monomials())
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
+    for size in range(n, -1, -1):
+        for combo in itertools.combinations(range(n), size):
+            s = set(combo)
+            if not any(sup <= s for sup in supports):
+                return size
+    return -1  # pragma: no cover - size 0 always independent unless unit
+
+
+def _minimal_monomials(monos: Sequence[ExpVec]) -> list[ExpVec]:
+    out = []
+    for m in monos:
+        if any(o != m and _divides(o, m) for o in monos):
+            continue
+        if m not in out:
+            out.append(m)
+    return out
+
+
+# -- polar curve ------------------------------------------------------------
+
+
+def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
+    """Multiplicity of the relative polar curve at the origin."""
+    return polar_mult(f, frame, 1)

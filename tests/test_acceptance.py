@@ -29,16 +29,12 @@ from lenumbers.cycles import (
     sigma_ideal,
     slice_check,
 )
-from lenumbers.local import (
-    local_dim,
-    local_quotient_dim,
-    m_primary_colength,
-    mora_quotient_dim,
-)
+from lenumbers.local import local_dim, local_quotient_dim
 from lenumbers.milnor import milnor, sectional
 from lenumbers.poly import Frame, apply_frame, iomdine, parse, restrict
 
 from _corpus import BY_NAME, CORPUS, SEEDS, generic_record
+from _oracles import m_primary_colength, mora_quotient_dim
 
 XYZ = ("x", "y", "z")
 

@@ -284,3 +284,23 @@ def test_search_limit_via_trials(tmp_path, capsys):
     )
     code, obj, _ = run_json(capsys, "search", "dagger", "--family", fam, "--trials", "2")
     assert obj["search"]["instances"] == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_bound_below_one_is_input_error(tmp_path, capsys, bound):
+    fam = family_file(tmp_path, json.dumps({"template": "x^a + y^3", "params": {"a": [2]}}))
+    for argv in (
+        ["compute", "le", "-f", "x^2+y^3", "--vars", "x,y"],
+        ["check", "funbound", "-f", "x^2+y^3", "--vars", "x,y"],
+        ["search", "dagger", "--family", fam],
+    ):
+        code, _, err = run(capsys, *argv, "--bound", bound)
+        assert code == 1, argv
+        assert "--bound" in err
+
+
+@pytest.mark.parametrize("poly", ["x+1", "x^2+y"])
+def test_check_rejects_input_not_singular_at_the_origin(capsys, poly):
+    code, out, err = run(capsys, "check", "funbound", "-f", poly, "--vars", "x,y")
+    assert code == 1
+    assert "error:" in err and out == ""

@@ -1,5 +1,7 @@
 import pytest
 
+import lenumbers.cycles as cycles
+from lenumbers.checks import check_newmpr_and_easybound
 from lenumbers.cycles import (
     generic_le,
     germ_subset,
@@ -7,7 +9,6 @@ from lenumbers.cycles import (
     lambda_numbers,
     mpr_bounds,
     mpr_exact,
-    polar_curve_mult,
     polar_ideal,
     polar_mult,
     polar_ratios,
@@ -15,7 +16,9 @@ from lenumbers.cycles import (
     slice_check,
 )
 from lenumbers.groebner import Ideal
-from lenumbers.poly import Frame, parse
+from lenumbers.poly import Frame, Polynomial, apply_frame, parse
+
+from _oracles import polar_curve_mult
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -145,3 +148,35 @@ def test_germ_subset_sees_through_units():
 def test_sigma_ideal_gens_are_the_partials():
     S = sigma_ideal(parse("x^2+y^3", XY))
     assert sorted(str(g) for g in S.gens) == ["2*x", "3*y^2"]
+
+
+def test_polar_curve_matches_a_fresh_polar_ideal():
+    for f, frame in (
+        (BN0, Frame.identity(3)),
+        (TX, Frame.identity(3)),
+        (parse("x^2+y^3", XY), Frame.random(2, 1, 10)),
+        (parse("x^2+y^2+z^3", XYZ), Frame.random(3, 2, 10)),
+    ):
+        rec = lambda_numbers(f, frame)
+        h = apply_frame(f, frame)
+        curve = cycles.polar_curve(h, rec)
+        assert cycles.polar_curve(h, rec) is curve
+        assert curve.mult == polar_curve_mult(f, frame)
+        z0 = Polynomial.var_index(0, h.vars)
+        assert curve.gamma1 == intersection_number(polar_ideal(f, frame, 1), [z0])
+
+
+def test_newmpr_saturates_the_polar_curve_once(monkeypatch):
+    # an s = 0 plane curve: the Le recursion itself needs no polar saturation
+    polar = []
+    saturate = cycles.saturate
+
+    def counting(I, J):
+        if not all(len(g.terms) == 1 and sum(next(iter(g.terms))) == 1 for g in J.gens):
+            polar.append(J)
+        return saturate(I, J)
+
+    monkeypatch.setattr(cycles, "saturate", counting)
+    reports = check_newmpr_and_easybound(parse("x^2+y^3", XY), seed=0)
+    assert "easybound" in [r.name for r in reports]
+    assert len(polar) == 1

@@ -3,24 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from lenumbers.groebner import Ideal, _to_int, dim
+from lenumbers.groebner import Ideal, _to_int
 from lenumbers.local import (
     _minimalize,
-    _standard_basis_ints,
     hilbert_numerator,
     hs_multiplicity,
     local_dim,
-    local_leading_monomials,
     local_quotient_dim,
     local_standard_basis,
-    m_primary_colength,
-    mora_normal_form,
-    mora_quotient_dim,
-    standard_monomial_count,
     truncated_quotient_dim,
 )
 from lenumbers.orders import LOCAL
 from lenumbers.poly import Polynomial, parse
+
+from _oracles import (
+    _standard_basis_ints,
+    dim,
+    local_leading_monomials,
+    m_primary_colength,
+    mora_normal_form,
+    mora_quotient_dim,
+    standard_monomial_count,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

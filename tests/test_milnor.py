@@ -46,6 +46,12 @@ def test_sectional_profiles():
     assert sectional(bn0, 3) is None
 
 
+def test_sectional_retries_a_line_inside_the_zero_set():
+    # the line y = c*x gives c*(1+c)*x^3, which vanishes for c in {0, -1};
+    # such a draw is undefined, and every other line gives 2
+    assert sectional(parse("x^2*y+x*y^2", ("x", "y")), 1, seed=3) == 2
+
+
 def test_sectional_profile_dataclass():
     p = SectionalProfile.compute(BY_NAME["tx"].poly, seed=0)
     assert p.values == (1, 2, 6, None)

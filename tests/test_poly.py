@@ -120,6 +120,15 @@ def test_frame_rejects_singular_matrix():
         Frame(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
 
 
+def test_coefficient_bound_below_one_is_rejected():
+    f = parse("x^2 + y^2 + z^5", XYZ)
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            Frame.random(2, 0, bound)
+        with pytest.raises(ValueError):
+            restrict(f, 2, seed=5, bound=bound)
+
+
 def test_apply_frame_size_mismatch():
     with pytest.raises(ValueError):
         apply_frame(parse("x", XY), Frame.identity(3))
