@@ -258,6 +258,10 @@ def lambda_numbers(
         frame=frame,
         seed=frame.seed,
     )
+    if s >= 1:
+        # polar[1] is then the saturated Gamma^1 of h: the record's callers
+        # read gamma^1 and mult Gamma^1 from it without saturating again
+        polar_curve(h, rec).ideal = polar[1]
     if verify:
         rec = replace(rec, verified=slice_check(f, frame, rec))
     return rec

@@ -1,15 +1,34 @@
 """Groebner bases over the rationals and the ideal operations built on them.
 
-The hot loops run fraction-free: a polynomial is a dict from exponent tuples
-to ints, kept primitive (content 1).  Scaling a generator does not change the
+The hot loops run fraction-free: a polynomial is a dict from monomials to
+ints, kept primitive (content 1).  Scaling a generator does not change the
 ideal, so Buchberger, reduction and membership all work on integer data; the
 API converts back to monic Fraction polynomials at the boundary.
+
+Inside the Buchberger kernel (_buchberger, _nf, _spoly, _update_pairs,
+_interreduce) a monomial is one packed int (Monagan and Pearce, "Sparse
+polynomial division using a heap", JSC 2011).  A _Packing lays out the
+weight rows of the order (orders.py) in the high fields, holding row . e,
+and the exponents in the low fields; each field has a guard bit above its
+value bits.  Both parts are linear in e, so a product of monomials is one
+int add, dividing out a monomial one subtract, and comparing two monomials
+in the order one int compare.  Divisibility is one masked subtract: a
+divides b when no low field of (b with its guard bits set) - (a's low part)
+borrows from its guard bit.  Only lcms and the conversions at the boundary
+unpack.  A reduction step checks that the bounding monomial of its reducer
+times the shift keeps every guard bit clear; when a field would overflow,
+the computation starts again with fields twice as wide, so no exponent is
+capped and no overflow passes silently.  Basis keeps exponent tuples for
+callers and packs its reducers once, for membership and normal forms.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
 Gebauer-Moeller form of the product and chain criteria.  Intersections and
 saturations by a principal ideal each take one auxiliary variable and a
 block elimination order; saturating by an ideal intersects the saturations
 by its generators.
+
+The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
+tests/_oracles.py.
 """
 
 from __future__ import annotations
@@ -17,13 +36,24 @@ from __future__ import annotations
 import heapq
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
-from .orders import GREVLEX, MonomialOrder, elimination_order
+from .orders import GREVLEX, MonomialOrder, Rows, elimination_order
 from .poly import ExpVec, Polynomial
 
 IPoly = dict[ExpVec, int]
+PPoly = dict[int, int]  # packed monomial -> int coefficient
+# (lm, lm's low part, lc, the other terms, bounding monomial) of a reducer
+Reducer = tuple[int, int, int, list[tuple[int, int]], int]
+
+# value bits of a field: at least _MIN_WIDTH, and _ROOM more than the
+# input's largest degree needs, so that a run whose degrees grow to 8 times
+# the input's still needs no second, wider run
+_MIN_WIDTH = 8
+_ROOM = 3
 
 # -- integer polynomial helpers -------------------------------------------
 
@@ -35,36 +65,13 @@ def _to_int(p: Polynomial) -> IPoly:
     denom = 1
     for c in p.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {e: int(c * denom) for e, c in p.terms.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {e: v // g for e, v in out.items()}
-    return out
+    return _strip({e: int(c * denom) for e, c in p.terms.items()})
 
 
-def _from_int(d: IPoly, vars: tuple[str, ...], keyf) -> Polynomial:
-    """Monic Fraction polynomial with the given order's leading coefficient 1."""
-    if not d:
-        return Polynomial.zero(vars)
-    lm = max(d, key=keyf)
-    lc = d[lm]
-    return Polynomial(vars, {e: Fraction(v, lc) for e, v in d.items()})
-
-
-def _strip(d: IPoly) -> IPoly:
-    g = 0
-    for v in d.values():
-        g = gcd(g, v)
+def _strip(d: dict) -> dict:
+    g = gcd(*d.values())
     if g > 1:
         return {e: v // g for e, v in d.items()}
-    return d
-
-
-def _normalize_sign(d: IPoly, keyf) -> IPoly:
-    if d and d[max(d, key=keyf)] < 0:
-        return {e: -v for e, v in d.items()}
     return d
 
 
@@ -75,87 +82,166 @@ def _divides(a: ExpVec, b: ExpVec) -> bool:
     return True
 
 
-def _lcm_exp(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+# -- packed monomials -------------------------------------------------------
 
 
-def _mul_exp(e: ExpVec, s: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(e, s))
+class _Overflow(Exception):
+    """A monomial does not fit the fields of its packing."""
 
 
-def _neg_key(k):
-    """Order-reversing image of a sort key (nested tuples of ints), so the
-    min-heap pops the largest monomial first."""
-    return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
+class _Packing:
+    """Exponent vectors of one global order on n variables, packed into ints.
+
+    Every field is `width` value bits with a guard bit above them.  From the
+    top down there is one field per weight row, holding row . e, then the
+    exponents e_n, ..., e_1.  The rows are 0/1 vectors, so every field of a
+    monomial is at most its total degree, and the packed ints compare as
+    the order does."""
+
+    __slots__ = ("width", "mask", "units", "shifts", "low", "guard", "guards")
+
+    def __init__(self, rows: Rows, n: int, width: int):
+        f = width + 1
+        top = n + len(rows)
+        self.width = width
+        self.mask = (1 << width) - 1
+        # the packed image of each unit vector: its weights in the row
+        # fields (first row highest) plus a 1 in its exponent field
+        self.units = tuple(
+            (1 << (i * f))
+            + sum(row[i] << ((top - 1 - r) * f) for r, row in enumerate(rows))
+            for i in range(n)
+        )
+        self.shifts = tuple(i * f for i in range(n))
+        ones = sum(1 << s for s in self.shifts)
+        self.low = self.mask * ones  # value bits of the exponent fields
+        self.guard = ones << width  # guard bits of the exponent fields
+        self.guards = sum(1 << (k * f + width) for k in range(top))
+
+    def pack(self, e: ExpVec) -> int:
+        if sum(e) > self.mask:
+            raise _Overflow
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, m: int) -> ExpVec:
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+    def divides(self, a: int, b: int) -> bool:
+        guard = self.guard
+        return ((b | guard) - (a & self.low)) & guard == guard
+
+    def pack_poly(self, d: IPoly) -> PPoly:
+        return {self.pack(e): c for e, c in d.items()}
+
+    def unpack_poly(self, d: PPoly) -> IPoly:
+        return {self.unpack(m): c for m, c in d.items()}
+
+    def reducer(self, d: PPoly) -> Reducer:
+        lm = max(d)
+        # the monomial of the largest exponents bounds every field of d
+        env = self.pack(tuple(map(max, zip(*map(self.unpack, d)))))
+        return lm, lm & self.low, d[lm], [(e, v) for e, v in d.items() if e != lm], env
 
 
-def _nf(h: IPoly, red: list[tuple[ExpVec, int, IPoly]], keyf, want_scale=False):
+@lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
+    return _Packing(order.rows(n), n, width)
+
+
+def _width(polys: Iterable[IPoly]) -> int:
+    """Field width that holds the bounding monomial of each of polys, with
+    _ROOM bits to spare."""
+    deg = max((sum(map(max, zip(*d))) for d in polys if d), default=0)
+    return max(_MIN_WIDTH, deg.bit_length() + _ROOM)
+
+
+def _widening(width: int, run):
+    """run(width), doubling width until no field overflows."""
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
+
+
+def _positive(d: PPoly) -> PPoly:
+    """d or -d, whichever has a positive leading coefficient."""
+    if d[max(d)] < 0:
+        return {e: -v for e, v in d.items()}
+    return d
+
+
+# -- the Buchberger kernel, on packed monomials --------------------------------
+
+
+def _nf(h: PPoly, red: list[Reducer], pk: _Packing, want_scale=False):
     """Fully reduced fraction-free normal form of h against red.
 
     Returns the primitive remainder; with want_scale, also the positive
     rational mu such that (remainder) == mu * h modulo the ideal of red.
 
-    The working terms sit in a coefficient dict plus a lazy-deletion heap;
-    every reduction only introduces monomials below the one being cleared,
-    so each key is computed once, when its monomial first appears.
+    The working terms sit in a coefficient dict plus a lazy-deletion heap
+    of negated monomials; every reduction only introduces monomials below
+    the one being cleared, so the heap pops each monomial's terms in order.
     """
+    guard, guards = pk.guard, pk.guards
+    push, pop = heapq.heappush, heapq.heappop
     coeff = dict(h)
-    heap = [(_neg_key(keyf(e)), e) for e in coeff]
+    heap = [-m for m in coeff]
     heapq.heapify(heap)
     # finished terms are deposited with the current values of F and G and
     # reconciled once at the end: scalings after the deposit multiply it,
     # content strips before the deposit are undone
-    out: list[tuple[ExpVec, int, int, int]] = []
+    out: list[tuple[int, int, int, int]] = []
     F = 1  # product of the co-scaling factors applied to the live part
     G = 1  # product of the contents stripped from the live part
     steps = 0
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -pop(heap)
         c = coeff.pop(m, 0)
         if not c:
             continue
-        for lm, lc, g in red:
-            if _divides(lm, m):
-                shift = tuple(a - b for a, b in zip(m, lm))
+        mg = m | guard
+        for lm, lm_low, lc, tail, env in red:
+            if (mg - lm_low) & guard == guard:
+                shift = m - lm
+                if (env + shift) & guards:
+                    raise _Overflow
                 if lc != 1:
                     # minimal co-scaling: (lc/d)*coeff - (c/d)*shift(g)
                     d = gcd(c, lc)
                     f0 = lc // d
                     c = c // d
                     if f0 != 1:
-                        for k in coeff:
-                            coeff[k] *= f0
+                        coeff = {k: v * f0 for k, v in coeff.items()}
                         F *= f0
-                for e, v in g.items():
-                    if e == lm:
-                        continue
-                    ee = _mul_exp(e, shift)
+                for e, v in tail:
+                    ee = e + shift
                     old = coeff.get(ee, 0)
                     nv = old - c * v
                     if nv:
                         coeff[ee] = nv
                         if not old:
-                            heapq.heappush(heap, (_neg_key(keyf(ee)), ee))
+                            push(heap, -ee)
                     else:
-                        coeff.pop(ee, None)
+                        del coeff[ee]
                 break
         else:
             out.append((m, c, F, G))
         steps += 1
         if steps % 16 == 0 and coeff:
-            g0 = 0
-            for v in coeff.values():
-                g0 = gcd(g0, v)
+            g0 = gcd(*coeff.values())
             if g0 > 1:
-                for k in coeff:
-                    coeff[k] //= g0
+                coeff = {k: v // g0 for k, v in coeff.items()}
                 G *= g0
-    res: IPoly = {e: c * (F // f) * g0 for e, c, f, g0 in out}
+    res: PPoly = {e: c * (F // f) * g0 for e, c, f, g0 in out}
     scale = Fraction(F)
     if res:
-        g0 = 0
-        for v in res.values():
-            g0 = gcd(g0, v)
+        g0 = gcd(*res.values())
         if g0 > 1:
             res = {e: v // g0 for e, v in res.items()}
             scale /= g0
@@ -164,16 +250,19 @@ def _nf(h: IPoly, red: list[tuple[ExpVec, int, IPoly]], keyf, want_scale=False):
     return res
 
 
-def _spoly(a: tuple[ExpVec, int, IPoly], b: tuple[ExpVec, int, IPoly]) -> IPoly:
-    (lma, lca, fa), (lmb, lcb, fb) = a, b
-    lcm = _lcm_exp(lma, lmb)
-    sa = tuple(x - y for x, y in zip(lcm, lma))
-    sb = tuple(x - y for x, y in zip(lcm, lmb))
-    out: IPoly = {}
-    for e, v in fa.items():
-        out[_mul_exp(e, sa)] = lcb * v
-    for e, v in fb.items():
-        ee = _mul_exp(e, sb)
+def _spoly(a: Reducer, b: Reducer, lcm: int, pk: _Packing) -> PPoly:
+    """The S-polynomial of a and b, whose leading monomials have lcm lcm;
+    the leading terms cancel and are left out."""
+    (lma, _, lca, ta, enva), (lmb, _, lcb, tb, envb) = a, b
+    sa = lcm - lma
+    sb = lcm - lmb
+    if (enva + sa) & pk.guards or (envb + sb) & pk.guards:
+        raise _Overflow
+    out: PPoly = {}
+    for e, v in ta:
+        out[e + sa] = lcb * v
+    for e, v in tb:
+        ee = e + sb
         nv = out.get(ee, 0) - lca * v
         if nv:
             out[ee] = nv
@@ -182,90 +271,100 @@ def _spoly(a: tuple[ExpVec, int, IPoly], b: tuple[ExpVec, int, IPoly]) -> IPoly:
     return _strip(out)
 
 
-def _update_pairs(lms: list[ExpVec], pairs: set[tuple[int, int]], t: int):
-    """Gebauer-Moeller update after appending element t."""
+def _update_pairs(lms: list[int], pairs: dict, queue: list, t: int, pk: _Packing):
+    """Gebauer-Moeller update after appending element t.  pairs maps each
+    live pair (i, j) to its lcm; queue holds (lcm, j, i) for selection."""
     lmt = lms[t]
-    lcms = {i: _lcm_exp(lms[i], lmt) for i in range(t)}
+    divides = pk.divides
+    lcms = [pk.lcm(lms[i], lmt) for i in range(t)]
     # chain criterion against the new element: drop old pairs whose lcm is
     # reachable through t
-    drop = set()
-    for (i, j) in pairs:
-        lij = _lcm_exp(lms[i], lms[j])
-        if (
-            _divides(lmt, lij)
-            and lcms[i] != lij
-            and lcms[j] != lij
-        ):
-            drop.add((i, j))
-    pairs -= drop
+    drop = [
+        (i, j)
+        for (i, j), lij in pairs.items()
+        if divides(lmt, lij) and lcms[i] != lij and lcms[j] != lij
+    ]
+    for p in drop:
+        del pairs[p]
     # group the new pairs by lcm; the product criterion kills a whole group,
     # divisibility between groups kills the larger one, one representative
-    # survives per group
-    groups: dict[ExpVec, list[int]] = {}
+    # survives per group.  A proper divisor is smaller in every global
+    # order, so going up the order meets the divisors of a group first.
+    groups: dict[int, list[int]] = {}
     for i in range(t):
         groups.setdefault(lcms[i], []).append(i)
-    coprime = {
-        l
-        for l, members in groups.items()
-        if any(l == _mul_exp(lms[i], lmt) for i in members)
-    }
-    kept_lcms: list[ExpVec] = []
-    for l in sorted(groups, key=lambda e: (sum(e), e)):
-        if l in coprime:
+    kept_lcms: list[int] = []
+    for l in sorted(groups):
+        members = groups[l]
+        if any(l == lms[i] + lmt for i in members):
             continue
-        if any(_divides(k, l) for k in kept_lcms):
+        if any(divides(k, l) for k in kept_lcms):
             continue
         kept_lcms.append(l)
-        pairs.add((groups[l][0], t))
+        pairs[(members[0], t)] = l
+        heapq.heappush(queue, (l, t, members[0]))
 
 
-def _buchberger(gens: list[IPoly], keyf) -> list[IPoly]:
-    G: list[tuple[ExpVec, int, IPoly]] = []
-    lms: list[ExpVec] = []
-    pairs: set[tuple[int, int]] = set()
+def _buchberger(gens: list[PPoly], pk: _Packing) -> list[PPoly]:
+    G: list[Reducer] = []
+    polys: list[PPoly] = []
+    lms: list[int] = []
+    pairs: dict[tuple[int, int], int] = {}
+    queue: list[tuple[int, int, int]] = []
 
-    def add(d: IPoly):
-        d = _normalize_sign(_strip(d), keyf)
-        lm = max(d, key=keyf)
-        G.append((lm, d[lm], d))
-        lms.append(lm)
-        _update_pairs(lms, pairs, len(G) - 1)
+    def add(d: PPoly):
+        d = _positive(_strip(d))
+        G.append(pk.reducer(d))
+        polys.append(d)
+        lms.append(G[-1][0])
+        _update_pairs(lms, pairs, queue, len(G) - 1, pk)
 
     for d in gens:
-        if d:
-            add(d)
-    while pairs:
-        i, j = min(
-            pairs, key=lambda p: (keyf(_lcm_exp(lms[p[0]], lms[p[1]])), p[1], p[0])
-        )
-        pairs.discard((i, j))
-        r = _nf(_spoly(G[i], G[j]), G, keyf)
+        add(d)
+    # normal selection: smallest lcm first, ties by (j, i)
+    while queue:
+        lcm, j, i = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue  # dropped by the chain criterion
+        r = _nf(_spoly(G[i], G[j], lcm, pk), G, pk)
         if r:
             add(r)
-    return _interreduce([g[2] for g in G], keyf)
+    return _interreduce(polys, G, pk)
 
 
-def _interreduce(polys: list[IPoly], keyf) -> list[IPoly]:
-    polys = [p for p in polys if p]
-    lms = [max(p, key=keyf) for p in polys]
+def _interreduce(polys: list[PPoly], G: list[Reducer], pk: _Packing) -> list[PPoly]:
+    lms = [g[0] for g in G]
     keep = []
     for idx, lm in enumerate(lms):
         if any(
-            o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
-            for o in range(len(polys))
+            o != idx and pk.divides(lms[o], lm) and (lms[o] != lm or o < idx)
+            for o in range(len(G))
         ):
             continue
         keep.append(idx)
     result = []
-    for pos, idx in enumerate(keep):
-        others = [
-            (lms[o], polys[o][lms[o]], polys[o]) for o in keep if o != idx
-        ]
-        r = _nf(polys[idx], others, keyf)
+    for idx in keep:
+        r = _nf(polys[idx], [G[o] for o in keep if o != idx], pk)
         if r:
-            result.append(_normalize_sign(r, keyf))
-    result.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
+            result.append(_positive(r))
+    result.sort(key=max, reverse=True)
     return result
+
+
+def _groebner_ints(gens: list[IPoly], order: MonomialOrder) -> list[IPoly]:
+    """Reduced Groebner basis of the integer polynomials gens under a global
+    order, each element primitive with a positive leading coefficient."""
+    gens = [d for d in gens if d]
+    if not gens:
+        return []
+    n = len(next(iter(gens[0])))
+
+    def run(width: int) -> list[IPoly]:
+        pk = _packing(order, n, width)
+        basis = _buchberger([pk.pack_poly(d) for d in gens], pk)
+        return [pk.unpack_poly(d) for d in basis]
+
+    return _widening(_width(gens), run)
 
 
 # -- API types -------------------------------------------------------------
@@ -274,14 +373,22 @@ def _interreduce(polys: list[IPoly], keyf) -> list[IPoly]:
 class Basis:
     """A reduced Groebner (or standard) basis with its order."""
 
-    __slots__ = ("vars", "order", "elements", "_red")
+    __slots__ = ("vars", "order", "elements", "_red", "_packed")
 
     def __init__(self, vars: tuple[str, ...], order: MonomialOrder, ints: list[IPoly]):
         self.vars = tuple(vars)
         self.order = order
         keyf = order.key(len(self.vars))
-        self.elements = tuple(_from_int(d, self.vars, keyf) for d in ints)
-        self._red = [(max(d, key=keyf), d[max(d, key=keyf)], d) for d in ints]
+        self._red = []
+        for d in ints:
+            lm = max(d, key=keyf)
+            self._red.append((lm, d[lm], d))
+        # monic: the order's leading coefficient is 1
+        self.elements = tuple(
+            Polynomial(self.vars, {e: Fraction(v, lc) for e, v in d.items()})
+            for _, lc, d in self._red
+        )
+        self._packed: tuple[_Packing, list[Reducer]] | None = None
 
     def __iter__(self):
         return iter(self.elements)
@@ -291,6 +398,23 @@ class Basis:
 
     def leading_monomials(self) -> tuple[ExpVec, ...]:
         return tuple(lm for lm, _, _ in self._red)
+
+    def _nf(self, d: IPoly, want_scale=False):
+        """_nf of d against the basis, through packed reducers that are
+        built on first use and rebuilt wider when d needs it."""
+
+        def run(width: int):
+            if self._packed is None or self._packed[0].width < width:
+                ints = [g for _, _, g in self._red]
+                pk = _packing(self.order, len(self.vars), max(width, _width(ints)))
+                self._packed = pk, [pk.reducer(pk.pack_poly(g)) for g in ints]
+            pk, red = self._packed
+            r = _nf(pk.pack_poly(d), red, pk, want_scale)
+            if want_scale:
+                return pk.unpack_poly(r[0]), r[1]
+            return pk.unpack_poly(r)
+
+        return _widening(_width([d]), run)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the basis (linear in p)."""
@@ -305,7 +429,7 @@ class Basis:
         # p == (c/den) * d for the primitive d; recover the true scalar
         lm = max(d, key=keyf)
         factor = p.terms[lm] / Fraction(d[lm])
-        r, mu = _nf(d, self._red, keyf, want_scale=True)
+        r, mu = self._nf(d, want_scale=True)
         return Polynomial(self.vars, {e: factor * Fraction(v) / mu for e, v in r.items()})
 
     def contains(self, p: Polynomial) -> bool:
@@ -313,8 +437,7 @@ class Basis:
             raise ValueError("membership via full reduction needs a global order")
         if p.is_zero:
             return True
-        keyf = self.order.key(len(self.vars))
-        return not _nf(_to_int(p), self._red, keyf)
+        return not self._nf(_to_int(p))
 
     def contains_unit(self) -> bool:
         return any(sum(lm) == 0 for lm in self.leading_monomials())
@@ -359,8 +482,7 @@ class Ideal:
             basis = self._cache.get(order)
         if basis is not None:
             return basis
-        keyf = order.key(len(self.vars))
-        ints = _buchberger([_to_int(g) for g in self.gens], keyf)
+        ints = _groebner_ints([_to_int(g) for g in self.gens], order)
         basis = Basis(self.vars, order, ints)
         with self._lock:
             self._cache.setdefault(order, basis)

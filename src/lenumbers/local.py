@@ -2,7 +2,11 @@
 
 Standard bases for the degree-first local order are computed by Lazard's
 homogenization trick: homogenize each generator, run the global engine under
-an order that restricts to the local one, set the new variable to 1.
+the Lazard order (orders.LAZARD: total degree, then the new variable t, then
+the grevlex rows of the x part), which restricts to the local one, and set
+t to 1.  That run goes through the same packed-monomial Buchberger kernel as
+every global basis (groebner.py); the local order itself is never packed,
+since its degree row is negative, and the bases here keep exponent tuples.
 Dimension, colength and multiplicity of the local ring are read off the
 Hilbert series of the leading ideal, whose numerator we compute by the usual
 pivot recursion N(I) = N(I + (x)) + T*N(I : x).
@@ -26,21 +30,14 @@ a global extraction of the component at the origin.
 
 from __future__ import annotations
 
-from .groebner import Basis, Ideal, IPoly, _buchberger, _divides, _to_int
-from .orders import GREVLEX, LOCAL, ExpVec
+from .groebner import Basis, Ideal, IPoly, _divides, _groebner_ints, _to_int
+from .orders import GREVLEX, LAZARD, LOCAL, ExpVec
 from .poly import Polynomial
-
-
-def _homog_key(e: ExpVec) -> tuple:
-    """Global order on k[x.., t] (t the last variable) that homogenizes the
-    local order: total degree first, ties by the local key of the x part."""
-    xs = e[:-1]
-    return (sum(e), -sum(xs), tuple(-v for v in reversed(xs)))
 
 
 def _lazard_standard_ints(gens: list[IPoly]) -> list[IPoly]:
     """Standard basis leading data without Mora: homogenize each generator,
-    run the global engine under the homogenizing order, set t = 1.
+    run the global engine under the Lazard order, set t = 1.
 
     Mora reduction swells badly on dense generators; the homogenized global
     computation is far better behaved and Lazard's theorem makes its
@@ -49,7 +46,7 @@ def _lazard_standard_ints(gens: list[IPoly]) -> list[IPoly]:
     for d in gens:
         deg = max(sum(e) for e in d)
         hgens.append({e + (deg - sum(e),): c for e, c in d.items()})
-    return [{e[:-1]: c for e, c in d.items()} for d in _buchberger(hgens, _homog_key)]
+    return [{e[:-1]: c for e, c in d.items()} for d in _groebner_ints(hgens, LAZARD)]
 
 
 def local_standard_basis(I: Ideal) -> Basis:

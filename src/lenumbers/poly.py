@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .orders import _grevlex_key
+from .orders import GREVLEX
 
 ExpVec = tuple[int, ...]
 
@@ -44,6 +44,10 @@ class Polynomial:
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # rebuild through __init__: the guard above rules out slot restore
+        return (Polynomial, (self.vars, self.terms))
 
     # -- constructors ------------------------------------------------------
 
@@ -260,7 +264,8 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
+        key = GREVLEX.key(len(self.vars))
+        items = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
         pieces = []
         for idx, (e, c) in enumerate(items):
             body = self._term_str(e, c)

@@ -32,9 +32,6 @@ from lenumbers.groebner import (
     Ideal,
     IPoly,
     _divides,
-    _lcm_exp,
-    _mul_exp,
-    _normalize_sign,
     _strip,
     _to_int,
     intersect,
@@ -46,8 +43,25 @@ from lenumbers.local import (
     hilbert_numerator,
     local_standard_basis,
 )
-from lenumbers.orders import GREVLEX, LOCAL, ExpVec, _grevlex_key
+from lenumbers.orders import GREVLEX, LOCAL, ExpVec
 from lenumbers.poly import Frame, Polynomial
+
+
+# -- exponent tuples ----------------------------------------------------------
+
+
+def _lcm_exp(a: ExpVec, b: ExpVec) -> ExpVec:
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def _mul_exp(e: ExpVec, s: ExpVec) -> ExpVec:
+    return tuple(x + y for x, y in zip(e, s))
+
+
+def _normalize_sign(d: IPoly, keyf) -> IPoly:
+    if d and d[max(d, key=keyf)] < 0:
+        return {e: -v for e, v in d.items()}
+    return d
 
 
 # -- Mora's tangent cone algorithm -----------------------------------------
@@ -132,10 +146,11 @@ def _standard_basis_ints(gens: list[IPoly], keyf) -> list[IPoly]:
     for d in gens:
         if d:
             add(_strip(d))
+    grevlex = GREVLEX.key(len(lms[0])) if lms else None
     while pairs:
         i, j = min(
             pairs,
-            key=lambda p: (_grevlex_key(_lcm_exp(lms[p[0]], lms[p[1]])), p[1], p[0]),
+            key=lambda p: (grevlex(_lcm_exp(lms[p[0]], lms[p[1]])), p[1], p[0]),
         )
         pairs.discard((i, j))
         lcm = _lcm_exp(lms[i], lms[j])

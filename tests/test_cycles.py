@@ -180,3 +180,21 @@ def test_newmpr_saturates_the_polar_curve_once(monkeypatch):
     reports = check_newmpr_and_easybound(parse("x^2+y^3", XY), seed=0)
     assert "easybound" in [r.name for r in reports]
     assert len(polar) == 1
+
+
+def test_le_record_hands_its_polar_curve_on(monkeypatch):
+    # s = 1: lambda_numbers saturates Gamma^1 itself, and mult Gamma^1 is
+    # read from that ideal
+    frame = Frame.identity(3)
+    rec = lambda_numbers(BN0, frame)
+    polar = []
+    saturate = cycles.saturate
+
+    def counting(I, J):
+        polar.append(J)
+        return saturate(I, J)
+
+    monkeypatch.setattr(cycles, "saturate", counting)
+    mult = cycles.polar_curve(apply_frame(BN0, frame), rec).mult
+    assert polar == []
+    assert mult == polar_curve_mult(BN0, frame)

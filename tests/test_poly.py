@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,12 @@ def test_apply_frame_is_a_ring_map(p, seed):
     F = Frame.random(3, seed)
     assert apply_frame(p * q, F) == apply_frame(p, F) * apply_frame(q, F)
     assert apply_frame(p + q, F) == apply_frame(p, F) + apply_frame(q, F)
+
+
+def test_pickle_round_trip():
+    p = parse("x^2+y^3", ("x", "y"))
+    h = hash(p)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p
+    assert hash(q) == h
+    assert q.vars == p.vars
