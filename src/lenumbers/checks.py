@@ -668,10 +668,13 @@ def check_leiom(
         if not (germ_subset(sig_g, target) and germ_subset(target, sig_g)):
             failures.append(f"a={av}: critical locus of the transform is wrong")
             continue
-        if s >= 1 and local_dim(sig_g) != s - 1:
-            failures.append(f"a={av}: critical dimension did not drop to {s - 1}")
-            continue
-        recg = lambda_numbers(g, gframe)
+        sg = None
+        if s >= 1:
+            sg = local_dim(sig_g)
+            if sg != s - 1:
+                failures.append(f"a={av}: critical dimension did not drop to {s - 1}")
+                continue
+        recg = lambda_numbers(g, gframe, s=sg)
         if any(v is None for v in recg.lam):
             failures.append(f"a={av}: Le numbers of the transform undefined")
             continue

@@ -7,18 +7,19 @@ saturation rather than by any explicit decomposition.
 
 intersection_number slices one hypersurface at a time.  Coordinate
 hyperplanes are sliced by substitution, which shrinks the ring; a general
-form is added to the ideal.  Between slices the ideal is saturated by the
-maximal ideal, and the dimension at the origin must drop by exactly one per
-slice; any violation makes the answer None (undefined) rather than a wrong
-integer.  The final step counts a local colength, which is exact because the
-last slice cuts a saturated (hence Cohen-Macaulay) curve by a
-nonzerodivisor.  When the final ideal is zero-dimensional globally, as it
-usually is, that colength is counted with grevlex bases alone
-(local.truncated_quotient_dim): a zero-dimensional quotient splits into one
-local algebra per point (Cox, Little, O'Shea, Using Algebraic Geometry,
-ch. 4), and adding high enough powers of the variables cuts away every
-point but the origin.  The local standard basis (local_quotient_dim) is the
-fallback for final ideals with positive-dimensional components elsewhere.
+form is added to the ideal.  Before the last slice the curve is saturated
+by the maximal ideal, and any improper slice makes the answer None
+(undefined) rather than a wrong integer.  The final step counts a local
+colength, which is exact because the last slice cuts a saturated (hence
+Cohen-Macaulay) curve by a nonzerodivisor.  When the final ideal is
+zero-dimensional globally, as it usually is, that colength is counted
+with grevlex bases alone (local.truncated_quotient_dim): a
+zero-dimensional quotient splits into one local algebra per point (Cox,
+Little, O'Shea, Using Algebraic Geometry, ch. 4), and one saturation by a
+linear form certified to vanish at no other point removes exactly the
+origin's.  The local standard basis (local_quotient_dim) is the fallback
+for final ideals with positive-dimensional components, at the origin or
+elsewhere.
 
 Each decision about the input and about the relative polar curve is made in
 one place: why_not_singular says whether f is singular at the origin;
@@ -102,21 +103,25 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
 
     I must carry no origin-supported junk (polar ideals come back saturated)
     and every component of V(I) must have dimension >= len(forms); both hold
-    for the cycles produced in this module.  Under that guarantee one
-    dimension check at the curve stage certifies the whole chain: each slice
-    can cut the dimension at the origin by at most one, so a curve after
-    len(forms)-1 slices forces every intermediate stage to have been proper,
-    and a finite colength at the end does the same for the last cut.  The
-    final count is exact because the curve, once saturated, is
-    Cohen-Macaulay and the last form is then a nonzerodivisor.
+    for the cycles produced in this module.  Under that guarantee a finite
+    colength at the end certifies the whole chain: each slice cuts the
+    dimension of every component by at most one, so the curve stage J,
+    saturated by the maximal ideal, has only components of dimension >= 1,
+    and a finite final colength at the origin leaves those through the
+    origin exactly one-dimensional and every cut proper.  A J that misses
+    the origin gives 0, and one of dimension >= 2 there gives an infinite
+    colength, hence None.  The final count is exact because the curve, once
+    saturated, is Cohen-Macaulay and the last form is then a
+    nonzerodivisor.
 
     The final colength is counted globally (truncated_quotient_dim) when
     the last ideal K is zero-dimensional: k[x]/K is the product of its local
-    algebras, one per point (Cox-Little-O'Shea, ch. 4), and K plus high
-    enough powers of the variables keeps only the origin's.  Only when K has
-    positive-dimensional components does the count fall back to the local
-    standard basis (local_quotient_dim), which alone can tell a
-    positive-dimensional germ at the origin from one elsewhere.
+    algebras, one per point (Cox-Little-O'Shea, ch. 4), and saturating K by
+    a linear form that vanishes at no other point keeps all but the
+    origin's.  Only when K has positive-dimensional components does the
+    count fall back to the local standard basis (local_quotient_dim),
+    which alone can tell a positive-dimensional germ at the origin from one
+    elsewhere.
 
     None means undefined: an improper slice or a degenerate form."""
     d = len(forms)
@@ -152,13 +157,7 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
             break
         take(step, form)
     if d > 1:
-        J = saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars))
-        ld = local_dim(J)
-        if ld == -1:
-            return 0
-        if ld != 1:
-            return None
-        gens = list(J.gens)
+        gens = list(saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)).gens)
     take(d - 1, work[d - 1])
     K = Ideal(gens, vars=cur_vars)
     q = truncated_quotient_dim(K)
@@ -221,7 +220,11 @@ def _validate_singular(f: Polynomial) -> None:
 
 
 def lambda_numbers(
-    f: Polynomial, frame: Frame | None = None, verify: bool = False
+    f: Polynomial,
+    frame: Frame | None = None,
+    verify: bool = False,
+    *,
+    s: int | None = None,
 ) -> LeRecord:
     """Le and relative polar numbers of f at the origin for one frame.
 
@@ -229,16 +232,18 @@ def lambda_numbers(
     lambda^j is the intersection number of Gamma^{j+1} with V(df/dz_j) and j
     coordinate hyperplanes, minus gamma^j.  Improper intersections leave the
     affected entries None.  With verify=True the slice cross-check
-    (slice_check) verdict is attached to the record.
+    (slice_check) verdict is attached to the record.  s, the dimension of
+    the critical locus at the origin, is computed unless the caller already
+    holds it: it does not depend on the frame.
     """
     _validate_singular(f)
     n1 = len(f.vars)
     if frame is None:
         frame = Frame.identity(n1)
     h = apply_frame(f, frame)
-    # the critical locus dimension does not depend on the frame; the original
-    # coordinates keep the generators sparse
-    s = local_dim(sigma_ideal(f))
+    if s is None:
+        # the original coordinates keep the generators sparse
+        s = local_dim(sigma_ideal(f))
     zvars = [Polynomial.var_index(i, h.vars) for i in range(n1)]
     polar = {j: _polar_of(h, j, s) for j in range(1, s + 2)}
     lam: list = [None] * (s + 1)
@@ -277,12 +282,13 @@ def generic_le(
         raise ValueError("trials must be >= 1")
     _validate_singular(f)
     n1 = len(f.vars)
+    s = local_dim(sigma_ideal(f))
     best = None
     b = bound
     for round_ in range(5):
         for t in range(trials):
             fseed = seed * 1000003 + round_ * trials + t
-            rec = lambda_numbers(f, Frame.random(n1, fseed, b))
+            rec = lambda_numbers(f, Frame.random(n1, fseed, b), s=s)
             if rec.fully_defined and (best is None or rec.lex_key() < best.lex_key()):
                 best = rec
         if best is not None:

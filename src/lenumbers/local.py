@@ -13,15 +13,18 @@ pivot recursion N(I) = N(I + (x)) + T*N(I : x).
 
 Colengths have two production routes.  local_quotient_dim counts with the
 Lazard standard basis and works for any ideal.  truncated_quotient_dim is
-the route tried first for the last step of cycles.intersection_number.  For an ideal that is zero-dimensional globally
-it counts with grevlex bases only: the total colength N when the origin is
-the only point, else the colength of I + (x_1^e, ..., x_n^e) for the first
-e at which that stops growing.  Both are exact because a zero-dimensional
-quotient is the product of its local algebras, one per point (Cox, Little,
-O'Shea, Using Algebraic Geometry, ch. 4), and the powers of the variables
-cut away every point but the origin.  On large final ideals it is far
-cheaper than the homogenized local computation.  For any other ideal it
-returns None and local_quotient_dim is used instead.
+the route tried first for the last step of cycles.intersection_number; for
+an ideal that is zero-dimensional globally it counts with grevlex bases
+only.  Let N be the total colength.  When the origin is the only point the
+answer is N.  Otherwise a linear form g is chosen that vanishes at no other
+point of V(I), certified by x_i^N2 lying in I + (g) for every i, where
+N2 = colength(I + (g)); the answer is then N - colength(I : g^infinity),
+one saturation.  That is exact because a zero-dimensional quotient is the
+product of its local algebras, one per point (Cox, Little, O'Shea, Using
+Algebraic Geometry, ch. 4), and saturating by g removes exactly the
+factors at the zeros of g.  On large final ideals this is far cheaper than
+the homogenized local computation.  For any other ideal it returns None
+and local_quotient_dim is used instead.
 
 The tests check both against independent oracles kept beside them
 (tests/_oracles.py): Mora's tangent cone algorithm, a staircase count, and
@@ -30,7 +33,17 @@ a global extraction of the component at the origin.
 
 from __future__ import annotations
 
-from .groebner import Basis, Ideal, IPoly, _divides, _groebner_ints, _to_int
+from itertools import count
+
+from .groebner import (
+    Basis,
+    Ideal,
+    IPoly,
+    _divides,
+    _groebner_ints,
+    _saturate_principal,
+    _to_int,
+)
 from .orders import GREVLEX, LAZARD, LOCAL, ExpVec
 from .poly import Polynomial
 
@@ -180,36 +193,55 @@ def _global_colength(I: Ideal) -> int | None:
     return sum(q)
 
 
+# The origin-only test x_i^N in I reduces powers of degree N, at a cost
+# that grows with N; above this colength the saturation reaches the same
+# answer sooner.
+_SHORTCUT_MAX = 16
+
+
+def _ladder(vars: tuple[str, ...]):
+    """The linear forms tried as g, in order: the coordinates, then
+    g_k = sum_i k^i x_i for k = 1, 2, ....  A point p != 0 is a zero of
+    g_k only when k is a root of the nonzero polynomial sum_i p_i T^i, so
+    for at most n - 1 values of k: past finitely many forms, every g_k
+    vanishes at no point of a finite set but the origin."""
+    xs = [Polynomial.var_index(i, vars) for i in range(len(vars))]
+    yield from xs
+    for k in count(1):
+        yield sum((x * k**i for i, x in enumerate(xs)), Polynomial.zero(vars))
+
+
 def truncated_quotient_dim(I: Ideal) -> int | None:
     """local_quotient_dim for a globally zero-dimensional I, counted with
     global Groebner bases only; None when I is not zero-dimensional.
 
     k[x]/I of dimension N is the product of its local algebras A_p, one per
     point p of V(I) (Cox, Little, O'Shea, Using Algebraic Geometry, ch. 4).
-    x_i is nilpotent on A_p, of index at most N, exactly when x_i(p) = 0.
-    So when x_i^N lies in I for every i the origin is the only point and
-    the answer is N.  Otherwise every other point has a coordinate x_i that
-    is a unit in A_p, and c(e) = colength(I + (x_1^e, ..., x_n^e)) equals
-    dim A_0/J_e with J_e = (x_1^e, ..., x_n^e)A_0.  J_{e+1} lies in m*J_e,
-    so c(e) = c(e+1) forces J_e = 0 by Nakayama's lemma: the first e at
-    which c stops growing gives dim A_0, and it stops by e = dim A_0."""
+    x_i is nilpotent on A_p, of index at most dim A_p, exactly when
+    x_i(p) = 0.  So when x_i^N lies in I for every i the origin is the only
+    point and the answer is N; that test is made only for N up to
+    _SHORTCUT_MAX.  Otherwise walk the linear forms g of _ladder, with
+    N2 = colength(I + (g)).  N2 = 0 means g vanishes at no point of V(I),
+    so the origin is not one and the answer is 0.  Else x_i^N2 in I + (g)
+    for every i certifies that the origin is the only zero of g on V(I);
+    a form that fails the certificate is replaced by the next.  Saturating
+    by a certified g removes exactly the factor A_0, so the answer is
+    N - colength(I : g^infinity)."""
     N = _global_colength(I)
     if N is None or N == 0:
         return N
     basis = I.groebner(GREVLEX)
     xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
-    if all(basis.contains(x**N) for x in xs):
+    if N <= _SHORTCUT_MAX and all(basis.contains(x**N) for x in xs):
         return N
-
-    def c(e: int) -> int:
-        return _global_colength(
-            Ideal([*basis.elements, *(x**e for x in xs)], vars=I.vars)
-        )
-
-    e, ce = 1, c(1)
-    while (nxt := c(e + 1)) != ce:
-        e, ce = e + 1, nxt
-    return ce
+    K = Ideal(basis.elements, vars=I.vars)
+    for g in _ladder(I.vars):
+        Kg = Ideal([*basis.elements, g], vars=I.vars)
+        N2 = _global_colength(Kg)
+        if N2 == 0:
+            return 0
+        if all(Kg.groebner(GREVLEX).contains(x**N2) for x in xs):
+            return N - _global_colength(_saturate_principal(K, g))
 
 
 def hs_multiplicity(I: Ideal) -> int:

@@ -126,6 +126,17 @@ def test_power_perturbation_exact():
         assert milnor(g) == 2
 
 
+def test_large_power_perturbation_within_budget():
+    with budget("power perturbation, m = 24", 60):
+        f = BY_NAME["tx"].poly
+        reports = {r.name: r for r in check_leiom(f, m=24, seed=0)}
+        eq = reports["leiom-equality"]
+        # lambda^0 + (m - 1) lambda^1 with (lambda^0, lambda^1) = (12, 2)
+        assert eq.context["lam"] == (12, 2)
+        assert eq.context["lam_transform"][0] == 58 == 12 + 2 * 23
+        assert (eq.lhs, eq.rhs) == (58, 58) and eq.holds
+
+
 def test_property_sweep_over_corpus():
     with budget("property sweep over the corpus", 1800):
         assert len(CORPUS) >= 20

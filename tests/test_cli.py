@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -304,3 +306,20 @@ def test_check_rejects_input_not_singular_at_the_origin(capsys, poly):
     code, out, err = run(capsys, "check", "funbound", "-f", poly, "--vars", "x,y")
     assert code == 1
     assert "error:" in err and out == ""
+
+
+def test_package_runs_as_a_module():
+    # python -m lenumbers is the same command line as lenumbers.cli
+    argv = ["compute", "milnor", "-f", "x^2+y^3", "--vars", "x,y"]
+    runs = [
+        subprocess.run([sys.executable, "-m", mod, *argv], capture_output=True, text=True)
+        for mod in ("lenumbers", "lenumbers.cli")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout == "mu = 2\n"
+    bad = subprocess.run(
+        [sys.executable, "-m", "lenumbers", "compute", "milnor", "-f", "x^", "--vars", "x"],
+        capture_output=True,
+        text=True,
+    )
+    assert bad.returncode == 1 and "error:" in bad.stderr

@@ -108,6 +108,22 @@ def test_intersection_number_improper_is_none():
     assert intersection_number(P, [parse("x", XYZ)]) == 1
 
 
+def test_intersection_number_curve_stage_of_dimension_two_is_none():
+    # V(xy) cut by x = 0 leaves the whole (y, z)-plane: no curve to cut
+    I = Ideal([parse("x*y", XYZ)], vars=XYZ)
+    assert intersection_number(I, [parse("x", XYZ), parse("y", XYZ)]) is None
+
+
+def test_intersection_number_saturated_curve_missing_the_origin_is_zero():
+    # z = 0 cuts V(x(x-1), y(x-1)) in the line x = 1 and the origin; the
+    # saturation drops the origin, so nothing is left to count there
+    I = Ideal([parse("x*(x-1)", XYZ), parse("y*(x-1)", XYZ)], vars=XYZ)
+    assert intersection_number(I, [parse("z", XYZ), parse("y", XYZ)]) == 0
+    # a curve that never passes through the origin
+    I = Ideal([parse("x-1", XYZ)], vars=XYZ)
+    assert intersection_number(I, [parse("y", XYZ), parse("z", XYZ)]) == 0
+
+
 def test_slice_cross_check():
     assert slice_check(BN0, Frame.identity(3)) is True
     assert slice_check(TX, Frame.identity(3)) is True

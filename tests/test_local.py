@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenumbers.groebner import Ideal, _to_int
 from lenumbers.local import (
@@ -152,3 +154,75 @@ def test_truncated_route_agrees_with_lazard(seed):
         assert (d is None) == (dim(ideal) > 0)
         if d is not None:
             assert d == local_quotient_dim(ideal)
+
+
+# -- the saturation route against Lazard and Mora, with points elsewhere ------
+
+_COORD = st.integers(-3, 3)
+_POINT = st.tuples(_COORD, _COORD).filter(any)
+
+
+@st.composite
+def _points_away_from_origin(draw):
+    """A few points p != 0 of the plane; some on V(x), where the first rung
+    of the ladder vanishes, and some in pairs p, -p."""
+    pts = draw(st.lists(_POINT, max_size=2))
+    if draw(st.booleans()):
+        pts.append((0, draw(st.sampled_from([-2, -1, 1, 2]))))
+    if pts and draw(st.booleans()):
+        pts.append(tuple(-c for c in pts[0]))
+    return list(dict.fromkeys(pts))
+
+
+@st.composite
+def _germ_at_origin(draw):
+    """Two generators x^a + c*m, y^b + d*m' with m, m' monomials; the
+    perturbations may add points of their own away from the origin."""
+    gens = []
+    for i in range(2):
+        e = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(2))
+        m = tuple(draw(st.integers(0, 2)) for _ in range(2))
+        c = draw(st.integers(-2, 2))
+        terms = {e: Fraction(1)}
+        if sum(m) and m != e:
+            terms[m] = Fraction(c)
+        gens.append(Polynomial(XY, {k: v for k, v in terms.items() if v}))
+    return gens
+
+
+def _vanishing_at(points, with_origin_germ):
+    """The ideal of the germ (or the unit ideal) times the maximal ideals of
+    the points, the first of them squared."""
+    K = Ideal(with_origin_germ or [Polynomial.constant(1, XY)], vars=XY)
+    for k, (a, b) in enumerate(points):
+        mp = Ideal([parse(f"x-({a})", XY), parse(f"y-({b})", XY)], vars=XY)
+        for _ in range(2 if k == 0 else 1):
+            K = Ideal([g * h for g in K.gens for h in mp.gens], vars=XY)
+            K = Ideal(K.groebner().elements, vars=XY)
+    return K
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points_away_from_origin(), st.one_of(st.just([]), _germ_at_origin()))
+def test_saturation_route_agrees_with_lazard_and_mora(points, germ):
+    K = _vanishing_at(points, germ)
+    d = truncated_quotient_dim(K)
+    assert (d is None) == (dim(K) > 0)
+    if d is not None:
+        assert d == local_quotient_dim(K) == mora_quotient_dim(K)
+        if not germ:
+            assert d == 0
+
+
+def test_saturation_route_walks_past_forms_with_other_zeros():
+    # x, y and x + y each vanish at one of the other points; x + 2y is the
+    # first form of the ladder that vanishes only at the origin
+    germ = [parse("x^2", XY), parse("y^3", XY)]
+    K = _vanishing_at([(0, 1), (1, 0), (1, -1)], germ)
+    assert truncated_quotient_dim(K) == 6 == local_quotient_dim(K)
+    # three variables, with a pair of points symmetric about the origin on V(x)
+    J = I("x^2-y*z", "y^2", "z^3", vars=XYZ)
+    p = [parse(t, XYZ) for t in ("x", "y-1", "z+1")]
+    q = [parse(t, XYZ) for t in ("x", "y+1", "z-1")]
+    K = Ideal([a * b * c for a in J.gens for b in p for c in q], vars=XYZ)
+    assert truncated_quotient_dim(K) == local_quotient_dim(J) == local_quotient_dim(K)
