@@ -566,7 +566,7 @@ def check_newmpr_and_easybound(
     if lam0 != 0:
         d0 = h.partial(0)
         try:
-            mg1 = polar_curve(h, rec).mult
+            mg1 = polar_curve(f, h, rec).mult
         except ValueError:
             mg1 = None
         if mg1 is not None and not d0.is_zero:
@@ -642,7 +642,7 @@ def check_leiom(
     target = Ideal(list(sig_h.gens) + [z0], vars=h.vars)
 
     lam0_slice = slice_lam0(h)
-    curve = polar_curve(h, rec)
+    curve = polar_curve(f, h, rec)
     g1 = curve.gamma1
     try:
         mult_g1 = curve.mult

@@ -21,6 +21,16 @@ origin's.  The local standard basis (local_quotient_dim) is the fallback
 for final ideals with positive-dimensional components, at the origin or
 elsewhere.
 
+Each relative polar variety Gamma^j = V(dh/dz_j, ..., dh/dz_n) :
+(dh/dz_0, ..., dh/dz_{j-1})^infinity of h = apply_frame(f, frame) is
+saturated once, in whichever coordinates give the fewer terms (_polar_of).
+With B the inverse frame matrix, the chain rule gives dh/dz_i =
+apply_frame(L_i, frame) for L_i = sum_k B[k][i] df/dx_k.  apply_frame is a
+ring automorphism and saturation commutes with automorphisms, so the
+saturation of the L_i, carried through the frame, is Gamma^j.  f is sparse
+and h usually dense: the surface z^2+(w^4+x^3+y^2)^2 has 7 terms and, in a
+random frame, h has 470.
+
 Each decision about the input and about the relative polar curve is made in
 one place: why_not_singular says whether f is singular at the origin;
 polar_curve gives Gamma^1 of a reframed polynomial, saturated once per Le
@@ -55,32 +65,78 @@ def sigma_ideal(f: Polynomial) -> Ideal:
     return Ideal(gens, vars=f.vars)
 
 
-def _polar_of(h: Polynomial, j: int, s: int | None = None) -> Ideal:
-    """Polar ideal of an already-reframed h: partials j..n, with components
-    inside the critical locus removed.  j = n+1 gives the zero ideal (the
-    whole space), which makes the j = n step of the cycle recursion uniform.
+@dataclass(frozen=True)
+class _Partials:
+    """The first partials of h = apply_frame(f, frame), written twice.
+
+    framed[i] is dh/dz_i in the frame's coordinates.  source[i] is
+    sum_k B[k][i] * df/dx_k with B = frame.inverse_rows(): the same partial
+    in f's own coordinates, since apply_frame(source[i], frame) ==
+    framed[i] by the chain rule."""
+
+    frame: Frame
+    framed: tuple[Polynomial, ...]
+    source: tuple[Polynomial, ...]
+
+
+def _partials(f: Polynomial, h: Polynomial, frame: Frame) -> _Partials:
+    """The partials of h = apply_frame(f, frame) in both coordinates."""
+    n1 = len(f.vars)
+    inv = frame.inverse_rows()
+    df = [f.partial(k) for k in range(n1)]
+    source = []
+    for i in range(n1):
+        acc = Polynomial.zero(f.vars)
+        for k in range(n1):
+            if inv[k][i]:
+                acc = acc + df[k] * inv[k][i]
+        source.append(acc)
+    framed = tuple(h.partial(i) for i in range(n1))
+    return _Partials(frame, framed, tuple(source))
+
+
+def _terms(ps: Sequence[Polynomial]) -> int:
+    return sum(len(p.terms) for p in ps)
+
+
+def _polar_of(parts: _Partials, j: int, s: int | None = None) -> Ideal:
+    """Polar ideal of the reframed h whose partials parts holds: partials
+    j..n, with components inside the critical locus removed.  j = n+1 gives
+    the zero ideal (the whole space), which makes the j = n step of the
+    cycle recursion uniform.
 
     When the critical dimension s is known, a principal ideal with j > s
     needs no saturation: principal ideals are unmixed, and their components
-    have dimension j, too big to fit inside the critical locus."""
-    n1 = len(h.vars)
+    have dimension j, too big to fit inside the critical locus.
+
+    Otherwise the saturation runs in whichever coordinates give the fewer
+    terms in all, the frame's or f's own.  apply_frame is a ring
+    automorphism and saturation commutes with it, so saturating the source
+    partials and mapping the generators of the result through the frame
+    gives the same ideal as saturating the framed partials.  The mapped
+    generators are kept as they are, not recomputed into a basis.  A
+    permutation frame ties and stays in the frame's coordinates."""
+    n1 = len(parts.framed)
+    vars = parts.framed[0].vars
     if not 1 <= j <= n1 + 1:
         raise ValueError(f"need 1 <= j <= {n1 + 1}")
-    gens = [h.partial(i) for i in range(j, n1)]
-    gens = [g for g in gens if not g.is_zero]
-    if j == n1 + 1 or not gens:
-        return Ideal((), vars=h.vars)
+    gens = [g for g in parts.framed[j:] if not g.is_zero]
+    if not gens:
+        return Ideal((), vars=vars)
     if s is not None and j > s and len(gens) == 1:
-        return Ideal(gens, vars=h.vars)
+        return Ideal(gens, vars=vars)
+    pull = _terms(parts.source) < _terms(parts.framed)
+    use = parts.source if pull else parts.framed
     # saturating by the critical ideal only tests the partials below j: the
     # generators above vanish on every component of their own zero set
-    low = [h.partial(i) for i in range(j)]
-    low = [g for g in low if not g.is_zero]
-    return saturate(Ideal(gens, vars=h.vars), Ideal(low or (), vars=h.vars))
+    P = saturate(Ideal(use[j:], vars=vars), Ideal(use[:j], vars=vars))
+    if not pull:
+        return P
+    return Ideal([apply_frame(g, parts.frame) for g in P.gens], vars=vars)
 
 
 def polar_ideal(f: Polynomial, frame: Frame, j: int) -> Ideal:
-    return _polar_of(apply_frame(f, frame), j)
+    return _polar_of(_partials(f, apply_frame(f, frame), frame), j)
 
 
 def _max_ideal(vars: tuple[str, ...]) -> Ideal:
@@ -245,14 +301,15 @@ def lambda_numbers(
         # the original coordinates keep the generators sparse
         s = local_dim(sigma_ideal(f))
     zvars = [Polynomial.var_index(i, h.vars) for i in range(n1)]
-    polar = {j: _polar_of(h, j, s) for j in range(1, s + 2)}
+    parts = _partials(f, h, frame)
+    polar = {j: _polar_of(parts, j, s) for j in range(1, s + 2)}
     lam: list = [None] * (s + 1)
     gam_full: list = [None] * (s + 1)
     gam_full[0] = 0
     for j in range(s, -1, -1):
         if j >= 1:
             gam_full[j] = intersection_number(polar[j], zvars[:j])
-        total = intersection_number(polar[j + 1], zvars[:j] + [h.partial(j)])
+        total = intersection_number(polar[j + 1], zvars[:j] + [parts.framed[j]])
         if total is not None and gam_full[j] is not None:
             diff = total - gam_full[j]
             lam[j] = diff if diff >= 0 else None
@@ -266,7 +323,7 @@ def lambda_numbers(
     if s >= 1:
         # polar[1] is then the saturated Gamma^1 of h: the record's callers
         # read gamma^1 and mult Gamma^1 from it without saturating again
-        polar_curve(h, rec).ideal = polar[1]
+        polar_curve(f, h, rec).ideal = polar[1]
     if verify:
         rec = replace(rec, verified=slice_check(f, frame, rec))
     return rec
@@ -311,17 +368,19 @@ def _cycle_mult(P: Ideal, j: int) -> int:
 
 
 class PolarCurve:
-    """The relative polar curve Gamma^1 of h, a polynomial already in the
-    frame of the Le record rec.  Its ideal is built and saturated at most
-    once, on first use; gamma^1 and mult Gamma^1 are both read from it."""
+    """The relative polar curve Gamma^1 of h = apply_frame(f, rec.frame),
+    f in the coordinates of the Le record rec.  Its ideal is built and
+    saturated at most once, on first use, in the coordinates _polar_of
+    picks; gamma^1 and mult Gamma^1 are both read from it."""
 
-    def __init__(self, h: Polynomial, rec: LeRecord):
+    def __init__(self, f: Polynomial, h: Polynomial, rec: LeRecord):
+        self.f = f
         self.h = h
         self.rec = rec
 
     @cached_property
     def ideal(self) -> Ideal:
-        return _polar_of(self.h, 1)
+        return _polar_of(_partials(self.f, self.h, self.rec.frame), 1)
 
     @cached_property
     def gamma1(self) -> int | None:
@@ -338,12 +397,12 @@ class PolarCurve:
         return _cycle_mult(self.ideal, 1)
 
 
-def polar_curve(h: Polynomial, rec: LeRecord) -> PolarCurve:
-    """Gamma^1 of h in the frame of rec, one per (h, rec): every caller
-    holding the same record reuses its ideal."""
+def polar_curve(f: Polynomial, h: Polynomial, rec: LeRecord) -> PolarCurve:
+    """Gamma^1 of h = apply_frame(f, rec.frame), one per (h, rec): every
+    caller holding the same record reuses its ideal."""
     curve = rec._curves.get(h)
     if curve is None:
-        curve = rec._curves[h] = PolarCurve(h, rec)
+        curve = rec._curves[h] = PolarCurve(f, h, rec)
     return curve
 
 
@@ -366,7 +425,7 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> boo
     h = apply_frame(f, frame)
     if len(h.vars) == 1:
         return None
-    g1 = polar_curve(h, rec).gamma1
+    g1 = polar_curve(f, h, rec).gamma1
     l1 = rec.lam[1] if rec.s >= 1 else 0
     if g1 is None or l1 is None:
         return None
@@ -400,7 +459,7 @@ def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> MprB
     lam0 = rec.lam[0]
     if lam0 is None:
         raise ValueError("lambda^0 undefined for this frame")
-    curve = polar_curve(apply_frame(f, frame), rec)
+    curve = polar_curve(f, apply_frame(f, frame), rec)
     g1 = curve.gamma1
     hyp = g1 is not None and g1 == curve.mult
     return MprBounds(
@@ -417,7 +476,7 @@ def polar_ratios(
     curve, validated against the computed Gamma^1 (containment of each
     component and additivity of multiplicities)."""
     h = apply_frame(f, frame)
-    P = _polar_of(h, 1)
+    P = _polar_of(_partials(f, h, frame), 1)
     ld = local_dim(P)
     if ld == -1:
         if components:

@@ -14,11 +14,23 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .orders import GREVLEX
 
 ExpVec = tuple[int, ...]
+
+
+def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two int polynomials whose monomials are packed ints."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
 class Polynomial:
@@ -192,47 +204,63 @@ class Polynomial:
     def compose_linear(
         self, rows: Sequence[Sequence[Fraction]], new_vars: Sequence[str]
     ) -> "Polynomial":
-        """Substitute x_i -> sum_j rows[i][j] * w_j and expand in new_vars."""
+        """Substitute x_i -> sum_j rows[i][j] * w_j and expand in new_vars.
+
+        The expansion runs in ints.  The rows are scaled by the lcm D of
+        their denominators and p by the lcm q of its own, so an input term
+        of degree d comes out multiplied by q * D^d.  The substitution is
+        linear and homogeneous, so an output term of degree d gathers input
+        terms of degree d alone, and is divided by q * D^d once, at the end.
+        Inside, a monomial in new_vars is one int with a field of `width`
+        bits per variable, wide enough for the degree of p, so multiplying
+        two monomials is one add."""
         if len(rows) != len(self.vars):
             raise ValueError("need one substitution row per variable")
-        m = len(tuple(new_vars))
-        forms = []
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("substitution row length mismatch")
-            forms.append(
-                Polynomial(
-                    new_vars,
-                    {
-                        tuple(1 if j == k else 0 for k in range(m)): Fraction(c)
-                        for j, c in enumerate(row)
-                        if c
-                    },
-                )
-            )
-        # cache powers of each linear form up to the largest exponent used
-        cache: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(1, new_vars)} for _ in forms
+        new_vars = tuple(new_vars)
+        m = len(new_vars)
+        rows = [[Fraction(c) for c in row] for row in rows]
+        if any(len(row) != m for row in rows):
+            raise ValueError("substitution row length mismatch")
+        if not self.terms:
+            return Polynomial.zero(new_vars)
+        D = lcm(*(c.denominator for row in rows for c in row))
+        q = lcm(*(c.denominator for c in self.terms.values()))
+        width = max(1, self.total_degree().bit_length())
+        forms = [
+            {
+                1 << (width * j): c.numerator * (D // c.denominator)
+                for j, c in enumerate(row)
+                if c
+            }
+            for row in rows
         ]
+        # powers[i][k] is the k-th power of form i, built up to the largest
+        # exponent used
+        powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in forms]
 
-        def power(i: int, k: int) -> Polynomial:
-            have = cache[i]
-            if k not in have:
-                top = max(have)
-                p = have[top]
-                for j in range(top + 1, k + 1):
-                    p = p * forms[i]
-                    have[j] = p
+        def power(i: int, k: int) -> dict[int, int]:
+            have = powers[i]
+            while len(have) <= k:
+                have.append(_mul_packed(have[-1], forms[i]))
             return have[k]
 
-        total = Polynomial.zero(new_vars)
+        total: dict[int, int] = {}
+        get = total.get
         for e, c in self.terms.items():
-            piece = Polynomial.constant(c, new_vars)
+            piece = {0: 1}
             for i, k in enumerate(e):
                 if k:
-                    piece = piece * power(i, k)
-            total = total + piece
-        return total
+                    piece = _mul_packed(piece, power(i, k))
+            cq = c.numerator * (q // c.denominator)
+            for mono, v in piece.items():
+                total[mono] = get(mono, 0) + cq * v
+        mask = (1 << width) - 1
+        out: dict[ExpVec, Fraction] = {}
+        for mono, v in total.items():
+            if v:
+                exps = tuple((mono >> (width * j)) & mask for j in range(m))
+                out[exps] = Fraction(v, q * D ** sum(exps))
+        return Polynomial(new_vars, out)
 
     def set_var_zero(self, i: int) -> "Polynomial":
         """The restriction to the hyperplane {x_i = 0}, with x_i dropped."""

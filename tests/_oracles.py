@@ -16,8 +16,11 @@ evidence:
 - m_primary_colength extracts the origin component globally
   (I : (I : m^infinity)) and counts its staircase.
 - dim reads the global dimension off maximal independent variable sets.
-- polar_curve_mult builds the polar curve afresh from f and the frame,
-  where the library reads it from cycles.PolarCurve.
+- framed_polar_ideal saturates the partials of h = apply_frame(f, frame)
+  in the frame's own coordinates, where the library saturates whichever of
+  those and f's own partials are the smaller and carries the result
+  through the frame.  polar_curve_mult reads mult Gamma^1 off it, where
+  the library reads it from cycles.PolarCurve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from lenumbers.cycles import polar_mult
 from lenumbers.groebner import (
     Basis,
     Ideal,
@@ -41,10 +43,12 @@ from lenumbers.local import (
     _minimalize,
     _strip_one_minus_t,
     hilbert_numerator,
+    hs_multiplicity,
+    local_dim,
     local_standard_basis,
 )
 from lenumbers.orders import GREVLEX, LOCAL, ExpVec
-from lenumbers.poly import Frame, Polynomial
+from lenumbers.poly import Frame, Polynomial, apply_frame
 
 
 # -- exponent tuples ----------------------------------------------------------
@@ -351,6 +355,24 @@ def _minimal_monomials(monos: Sequence[ExpVec]) -> list[ExpVec]:
 # -- polar curve ------------------------------------------------------------
 
 
+def framed_polar_ideal(f: Polynomial, frame: Frame, j: int) -> Ideal:
+    """Gamma^j of h = apply_frame(f, frame): the partials j..n of h
+    saturated by the partials below j, all in the frame's coordinates."""
+    h = apply_frame(f, frame)
+    dh = [h.partial(i) for i in range(len(h.vars))]
+    high = Ideal(dh[j:], vars=h.vars)
+    if high.is_zero:
+        return high
+    return saturate(high, Ideal(dh[:j], vars=h.vars))
+
+
 def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
-    """Multiplicity of the relative polar curve at the origin."""
-    return polar_mult(f, frame, 1)
+    """Multiplicity of the relative polar curve at the origin; 0 when it
+    misses the origin, ValueError when it is not a curve there."""
+    P = framed_polar_ideal(f, frame, 1)
+    ld = local_dim(P)
+    if ld == -1:
+        return 0
+    if ld != 1:
+        raise ValueError(f"polar ideal is {ld}-dimensional, expected a curve")
+    return hs_multiplicity(P)

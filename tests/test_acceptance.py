@@ -101,6 +101,14 @@ def test_surface_recursion_exact():
         assert sectional(f, 2, seed=0) == 3
 
 
+def test_surface_recursion_within_budget():
+    # the polar saturations run on the surface's own sparse partials
+    with budget("two-dimensional recursion, regression budget", 60):
+        f = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
+        (rep,) = check_mainmany(f, seed=0)
+        assert rep.context["lam"] == (14, 3, 2)
+
+
 def test_power_perturbation_exact():
     with budget("power perturbation", 120):
         f = BY_NAME["bn0"].poly

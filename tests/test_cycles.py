@@ -18,7 +18,8 @@ from lenumbers.cycles import (
 from lenumbers.groebner import Ideal
 from lenumbers.poly import Frame, Polynomial, apply_frame, parse
 
-from _oracles import polar_curve_mult
+from _corpus import CORPUS
+from _oracles import framed_polar_ideal, polar_curve_mult
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -175,8 +176,8 @@ def test_polar_curve_matches_a_fresh_polar_ideal():
     ):
         rec = lambda_numbers(f, frame)
         h = apply_frame(f, frame)
-        curve = cycles.polar_curve(h, rec)
-        assert cycles.polar_curve(h, rec) is curve
+        curve = cycles.polar_curve(f, h, rec)
+        assert cycles.polar_curve(f, h, rec) is curve
         assert curve.mult == polar_curve_mult(f, frame)
         z0 = Polynomial.var_index(0, h.vars)
         assert curve.gamma1 == intersection_number(polar_ideal(f, frame, 1), [z0])
@@ -211,6 +212,68 @@ def test_le_record_hands_its_polar_curve_on(monkeypatch):
         return saturate(I, J)
 
     monkeypatch.setattr(cycles, "saturate", counting)
-    mult = cycles.polar_curve(apply_frame(BN0, frame), rec).mult
+    mult = cycles.polar_curve(BN0, apply_frame(BN0, frame), rec).mult
     assert polar == []
     assert mult == polar_curve_mult(BN0, frame)
+
+
+SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
+
+
+def _same_polar_ideals(f, frame):
+    for j in range(1, len(f.vars) + 1):
+        got = polar_ideal(f, frame, j)
+        want = framed_polar_ideal(f, frame, j)
+        assert set(got.groebner().elements) == set(want.groebner().elements), j
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_polar_ideal_matches_saturation_in_the_frame(member):
+    f = member.poly
+    n1 = len(f.vars)
+    for frame in (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1)):
+        _same_polar_ideals(f, frame)
+
+
+def test_polar_ideal_of_the_surface_matches_saturation_in_the_frame():
+    _same_polar_ideals(SURFACE, Frame.random(4, 0))
+
+
+def _saturated_by_polar_of(monkeypatch, f, frame):
+    """(I, J) of every saturation _polar_of asks for, over j = 1..n."""
+    calls = []
+    saturate = cycles.saturate
+
+    def recording(I, J):
+        calls.append((I, J))
+        return saturate(I, J)
+
+    monkeypatch.setattr(cycles, "saturate", recording)
+    for j in range(1, len(f.vars)):
+        polar_ideal(f, frame, j)
+    monkeypatch.undo()
+    return calls
+
+
+def test_polar_saturation_runs_on_the_sparse_partials(monkeypatch):
+    # the surface has 7 terms, its reframed h has hundreds: every generator
+    # handed to saturate is a combination of the partials of f, no larger
+    # than all of them together
+    frame = Frame.random(4, 0)
+    calls = _saturated_by_polar_of(monkeypatch, SURFACE, frame)
+    budget = sum(len(SURFACE.partial(k).terms) for k in range(4))
+    h = apply_frame(SURFACE, frame)
+    assert all(len(h.partial(i).terms) > budget for i in range(4))
+    assert len(calls) == 3
+    for I, J in calls:
+        assert all(len(g.terms) <= budget for g in I.gens + J.gens)
+
+
+def test_polar_saturation_under_a_permutation_runs_on_the_framed_partials(monkeypatch):
+    frame = Frame.rotation(3)
+    h = apply_frame(BN0, frame)
+    calls = _saturated_by_polar_of(monkeypatch, BN0, frame)
+    assert len(calls) == 2
+    for j, (I, J) in enumerate(calls, start=1):
+        assert I.gens == Ideal([h.partial(i) for i in range(j, 3)], vars=XYZ).gens
+        assert J.gens == Ideal([h.partial(i) for i in range(j)], vars=XYZ).gens

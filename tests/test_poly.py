@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,47 @@ def test_apply_frame_is_a_ring_map(p, seed):
     F = Frame.random(3, seed)
     assert apply_frame(p * q, F) == apply_frame(p, F) * apply_frame(q, F)
     assert apply_frame(p + q, F) == apply_frame(p, F) + apply_frame(q, F)
+
+
+def _naive_compose(p, rows, new_vars):
+    """compose_linear by Fraction polynomial arithmetic, term by term."""
+    forms = [
+        sum(
+            (Polynomial.var_index(j, new_vars) * c for j, c in enumerate(row)),
+            Polynomial.zero(new_vars),
+        )
+        for row in rows
+    ]
+    total = Polynomial.zero(new_vars)
+    for e, c in p.terms.items():
+        piece = Polynomial.constant(c, new_vars)
+        for form, k in zip(forms, e):
+            piece = piece * form**k
+        total = total + piece
+    return total
+
+
+def test_compose_linear_matches_a_naive_expansion():
+    rng = random.Random(7)
+    old_vars = ("a", "b", "c", "d")
+    for trial in range(120):
+        n = 1 + trial % 4
+        m = 1 + (trial // 4) % n  # m < n: fewer new variables, as in restrict
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(n)): Fraction(
+                rng.randint(-9, 9), rng.randint(1, 6)
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        rows = [
+            [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(m)]
+            for _ in range(n)
+        ]
+        if trial % 3 == 0:
+            rows[rng.randrange(n)] = [Fraction(0)] * m
+        p = Polynomial(old_vars[:n], terms)
+        new_vars = XYZ[:m] if m <= 3 else ("w",) + XYZ
+        assert p.compose_linear(rows, new_vars) == _naive_compose(p, rows, new_vars), trial
 
 
 def test_pickle_round_trip():
