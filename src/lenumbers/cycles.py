@@ -45,11 +45,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .groebner import Ideal, radical_member, saturate
+from .groebner import Ideal, _saturate_principal, radical_member, saturate
 from .local import (
     hs_multiplicity,
+    lazard_local_dim,
     local_dim,
     local_quotient_dim,
+    origin_on,
     truncated_quotient_dim,
 )
 from .poly import Frame, Polynomial, apply_frame
@@ -358,8 +360,9 @@ def generic_le(
 
 def _cycle_mult(P: Ideal, j: int) -> int:
     """Multiplicity at the origin of the j-dimensional cycle of P; 0 when it
-    misses the origin, ValueError when it has another dimension there."""
-    ld = local_dim(P)
+    misses the origin, ValueError when it has another dimension there.
+    The dimension comes from the Lazard basis hs_multiplicity reads next."""
+    ld = lazard_local_dim(P)
     if ld == -1:
         return 0
     if ld != j:
@@ -477,7 +480,8 @@ def polar_ratios(
     component and additivity of multiplicities)."""
     h = apply_frame(f, frame)
     P = _polar_of(_partials(f, h, frame), 1)
-    ld = local_dim(P)
+    # the Lazard bases of P and of each C serve hs_multiplicity as well
+    ld = lazard_local_dim(P)
     if ld == -1:
         if components:
             raise ValueError("polar curve is empty but components were supplied")
@@ -490,7 +494,7 @@ def polar_ratios(
             raise ValueError("component in the wrong ring")
         if not (isinstance(p, int) and p >= 1):
             raise ValueError("component multiplicity must be a positive integer")
-        if local_dim(C) != 1:
+        if lazard_local_dim(C) != 1:
             raise ValueError("component is not a curve through the origin")
         if not all(radical_member(g, C) for g in P.groebner().elements):
             raise ValueError("component does not lie on the polar curve")
@@ -524,11 +528,13 @@ def mpr_exact(
 def germ_subset(I: Ideal, J: Ideal) -> bool:
     """Whether V(I) is contained in V(J) as germs at the origin.
 
-    Global radical membership is a cheap sufficient test; the germ-accurate
-    fallback asks whether every component of V(I) through the origin lies in
-    V(J), i.e. whether the saturation I : J^infinity misses the origin."""
+    That holds exactly when the origin is off V(I : J^infinity), the closure
+    of V(I) minus V(J).  saturate intersects the saturations by the
+    generators g of J, so that variety is the union of the V(I : g^infinity),
+    and each is tested alone; g in I makes I : g^infinity the unit ideal
+    without a saturation."""
     if I.vars != J.vars:
         raise ValueError("variable mismatch")
-    if all(radical_member(g, I) for g in J.gens):
-        return True
-    return local_dim(saturate(I, J)) == -1
+    return all(
+        I.contains(g) or not origin_on(_saturate_principal(I, g)) for g in J.gens
+    )

@@ -11,6 +11,17 @@ Dimension, colength and multiplicity of the local ring are read off the
 Hilbert series of the leading ideal, whose numerator we compute by the usual
 pivot recursion N(I) = N(I + (x)) + T*N(I : x).
 
+local_dim asks Lazard only when V(I) has a component of dimension two or
+more somewhere.  D, the dimension of V(I), is read off the grevlex leading
+ideal.  When D <= 1 the origin is an isolated point of V(I) or lies on a
+curve of it, and global bases tell which: V(I : x_i^infinity) is the
+closure of V(I) minus V(x_i) (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 4 section 4), and V(I) minus the origin is the union of
+those sets over i, so the origin is on a curve exactly when it lies on
+some V(I : x_i^infinity).  Dimensions that go on to a multiplicity
+(hs_multiplicity) are read off the Lazard basis that count needs anyway
+(lazard_local_dim).
+
 Colengths have two production routes.  local_quotient_dim counts with the
 Lazard standard basis and works for any ideal.  truncated_quotient_dim is
 the route tried first for the last step of cycles.intersection_number; for
@@ -155,9 +166,10 @@ def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return c, tuple(cur)
 
 
-def local_dim(I: Ideal) -> int:
-    """Krull dimension of the localization at the origin; -1 when the origin
-    is not on V(I)."""
+def lazard_local_dim(I: Ideal) -> int:
+    """local_dim read off the Lazard standard basis of I, for any I.  The
+    multiplicity callers use it directly: hs_multiplicity reads the same
+    basis next."""
     basis = local_standard_basis(I)
     lms = [lm for lm, _, _ in basis._red]
     if any(sum(lm) == 0 for lm in lms):
@@ -165,6 +177,49 @@ def local_dim(I: Ideal) -> int:
     n = len(I.vars)
     c, _ = _strip_one_minus_t(hilbert_numerator(lms, n))
     return n - c
+
+
+def _global_hilbert(I: Ideal) -> tuple[int, tuple[int, ...]] | None:
+    """(c, Q) with N(T) = (1-T)^c * Q(T) the Hilbert numerator of I's
+    grevlex leading ideal; None for the unit ideal."""
+    lms = I.groebner(GREVLEX).leading_monomials()
+    if any(sum(lm) == 0 for lm in lms):
+        return None
+    return _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
+
+
+def origin_on(I: Ideal) -> bool:
+    """Whether the origin lies on V(I).  Evaluation at 0 is a ring map, so
+    that holds exactly when every generator vanishes there."""
+    return all(g.constant_term == 0 for g in I.gens)
+
+
+def local_dim(I: Ideal) -> int:
+    """Krull dimension of the localization at the origin; -1 when the origin
+    is not on V(I).
+
+    The origin is on V(I) exactly when every generator vanishes there.  D,
+    the dimension of V(I) in the whole space, is read off the grevlex
+    leading ideal.  D = 0 gives 0.  D = 1 is answered with global bases
+    alone: the origin is then either an isolated point of V(I) or on a
+    curve of it, and V(I : x_i^infinity) is the closure of V(I) minus
+    V(x_i) (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4
+    section 4).  V(I) minus the origin is the union over i of V(I) minus
+    V(x_i), so the origin lies on a curve of V(I) exactly when it lies on
+    some V(I : x_i^infinity).  Only D >= 2 builds the Lazard standard basis
+    (lazard_local_dim)."""
+    if not origin_on(I):
+        return -1
+    n = len(I.vars)
+    # not the unit ideal: the origin is on V(I)
+    c, _ = _global_hilbert(I)
+    D = n - c
+    if D >= 2:
+        return lazard_local_dim(I)
+    if D == 0:
+        return 0
+    xs = (Polynomial.var_index(i, I.vars) for i in range(n))
+    return 1 if any(origin_on(_saturate_principal(I, x)) for x in xs) else 0
 
 
 def local_quotient_dim(I: Ideal) -> int | None:
@@ -183,12 +238,11 @@ def local_quotient_dim(I: Ideal) -> int | None:
 def _global_colength(I: Ideal) -> int | None:
     """Vector space dimension of k[x]/I, read off the grevlex leading ideal;
     None when I is not zero-dimensional."""
-    lms = I.groebner(GREVLEX).leading_monomials()
-    if any(sum(lm) == 0 for lm in lms):
+    hilb = _global_hilbert(I)
+    if hilb is None:
         return 0
-    n = len(I.vars)
-    c, q = _strip_one_minus_t(hilbert_numerator(lms, n))
-    if c < n:
+    c, q = hilb
+    if c < len(I.vars):
         return None
     return sum(q)
 

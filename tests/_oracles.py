@@ -16,6 +16,10 @@ evidence:
 - m_primary_colength extracts the origin component globally
   (I : (I : m^infinity)) and counts its staircase.
 - dim reads the global dimension off maximal independent variable sets.
+- germ_subset_by_saturation saturates by the whole of J and reads the
+  dimension of I : J^infinity at the origin off its Lazard standard basis,
+  where the library saturates by one generator of J at a time and asks
+  only whether the origin is on each.
 - framed_polar_ideal saturates the partials of h = apply_frame(f, frame)
   in the frame's own coordinates, where the library saturates whichever of
   those and f's own partials are the smaller and carries the result
@@ -44,6 +48,7 @@ from lenumbers.local import (
     _strip_one_minus_t,
     hilbert_numerator,
     hs_multiplicity,
+    lazard_local_dim,
     local_dim,
     local_standard_basis,
 )
@@ -340,6 +345,12 @@ def dim(I: Ideal) -> int:
             if not any(sup <= s for sup in supports):
                 return size
     return -1  # pragma: no cover - size 0 always independent unless unit
+
+
+def germ_subset_by_saturation(I: Ideal, J: Ideal) -> bool:
+    """Whether V(I) lies in V(J) near the origin: whether the origin is off
+    V(I : J^infinity)."""
+    return lazard_local_dim(saturate(I, J)) == -1
 
 
 def _minimal_monomials(monos: Sequence[ExpVec]) -> list[ExpVec]:

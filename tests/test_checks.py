@@ -13,10 +13,11 @@ from lenumbers.checks import (
     check_teissier,
     search_dagger,
 )
+from lenumbers.cycles import germ_subset, sigma_ideal
 from lenumbers.groebner import Ideal
-from lenumbers.poly import Frame, parse
+from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
-from _corpus import BY_NAME
+from _corpus import BY_NAME, CORPUS, generic_record
 
 BN0 = BY_NAME["bn0"].poly
 TX = BY_NAME["tx"].poly
@@ -129,6 +130,34 @@ def test_leiom_preserves_isolated_milnor_number():
     eq = reports["leiom-equality"]
     assert (eq.lhs, eq.rhs) == (2, 2)
     assert eq.holds
+
+
+def _z0_gate_and_full_gate(h, m, a):
+    """check_leiom asks the critical locus of the transform to lie in V(z0)
+    near 0; the claim it stands for is that it lies in V(sigma_ideal(h))
+    and V(z0).  Both verdicts, in that order."""
+    z0 = Polynomial.var_index(0, h.vars)
+    target = Ideal([*sigma_ideal(h).gens, z0], vars=h.vars)
+    sig_g = sigma_ideal(iomdine(h, m, a)[0])
+    return germ_subset(sig_g, Ideal([z0], vars=h.vars)), germ_subset(sig_g, target)
+
+
+@pytest.mark.parametrize("member", [m for m in CORPUS if m.s >= 1], ids=lambda m: m.name)
+def test_leiom_gate_on_z0_matches_the_full_target(member):
+    rec = generic_record(member.name, 0)
+    h = apply_frame(member.poly, rec.frame)
+    m = 2 if rec.lam[0] == 0 else 1 + rec.lam[0]
+    for a in (1, -1, 2):
+        z0_gate, full = _z0_gate_and_full_gate(h, m, a)
+        assert z0_gate == full, a
+
+
+def test_leiom_gates_agree_where_the_transform_fails():
+    # umbrella, identity frame: x^2 - y^2*z - x^2 is critical along y = 0
+    umbrella = BY_NAME["umbrella"].poly
+    assert _z0_gate_and_full_gate(umbrella, 2, -1) == (False, False)
+    cylinder = apply_frame(BY_NAME["cylinder"].poly, Frame.rotation(3))
+    assert _z0_gate_and_full_gate(cylinder, 2, -1) == (False, False)
 
 
 def test_leiom_rejects_bad_power():

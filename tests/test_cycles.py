@@ -19,7 +19,7 @@ from lenumbers.groebner import Ideal
 from lenumbers.poly import Frame, Polynomial, apply_frame, parse
 
 from _corpus import CORPUS
-from _oracles import framed_polar_ideal, polar_curve_mult
+from _oracles import framed_polar_ideal, germ_subset_by_saturation, polar_curve_mult
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -160,6 +160,31 @@ def test_germ_subset_sees_through_units():
     assert germ_subset(J, I)
     K = Ideal([parse("y", XY)], vars=XY)
     assert not germ_subset(J, K)
+
+
+def test_germ_subset_with_components_away_from_the_origin():
+    def ideal(*texts):
+        return Ideal([parse(t, XY) for t in texts], vars=XY)
+
+    # V(I) is the line x = 0 and, away from the origin, the line y = 1
+    I = ideal("x*(y-1)")
+    # V(J) is the line x = 0; no generator of J lies in I
+    J = ideal("x*(y-2)", "x*(y+3)")
+    # V(J2) is the two points (0, 0) and (0, 1)
+    J2 = ideal("x", "y*(y-1)")
+    # V(I3) is the origin and the line x = 1
+    I3 = ideal("x*(x-1)", "y*(x-1)")
+    cases = [
+        (I, J, True),
+        (I, J2, False),
+        (J2, I, True),
+        (I3, J2, True),
+        (I3, ideal("x+y", "y^2"), True),
+        (J, I3, False),
+        (ideal("y*(x-1)"), I3, False),
+    ]
+    for A, B, want in cases:
+        assert germ_subset(A, B) is want == germ_subset_by_saturation(A, B), (A, B)
 
 
 def test_sigma_ideal_gens_are_the_partials():

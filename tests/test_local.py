@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenumbers.local as local
+from lenumbers.cycles import sigma_ideal
 from lenumbers.groebner import Ideal, _to_int
 from lenumbers.local import (
     _minimalize,
     hilbert_numerator,
     hs_multiplicity,
+    lazard_local_dim,
     local_dim,
     local_quotient_dim,
     local_standard_basis,
     truncated_quotient_dim,
 )
 from lenumbers.orders import LOCAL
-from lenumbers.poly import Polynomial, parse
+from lenumbers.poly import Polynomial, iomdine, parse, restrict
 
+from _corpus import CORPUS
 from _oracles import (
     _standard_basis_ints,
     dim,
@@ -36,12 +40,107 @@ def I(*texts, vars=XY):
     return Ideal([parse(t, vars) for t in texts], vars=vars)
 
 
-def test_local_dim_basics():
+def _count_lazard(monkeypatch) -> list:
+    """Every ideal handed to local_standard_basis from now on."""
+    calls = []
+    standard_basis = local.local_standard_basis
+
+    def counting(I):
+        calls.append(I)
+        return standard_basis(I)
+
+    monkeypatch.setattr(local, "local_standard_basis", counting)
+    return calls
+
+
+def test_local_dim_basics(monkeypatch):
+    lazard = _count_lazard(monkeypatch)
     assert local_dim(I("x", "y")) == 0
     assert local_dim(I("x*y")) == 1
-    assert local_dim(Ideal((), vars=XY)) == 2
+    assert local_dim(I("x^2", "x*y")) == 1
+    # a curve elsewhere, the line x = 1; the origin is an isolated point
+    assert local_dim(I("x*(x-1)", "y*(x-1)")) == 0
+    assert local_dim(Ideal((), vars=("x",))) == 1
     # not through the origin
     assert local_dim(I("x-1")) == -1
+    assert lazard == []
+    # a surface, and the whole plane: the Lazard route
+    assert local_dim(I("x*y", vars=XYZ)) == 2
+    assert local_dim(Ideal((), vars=XY)) == 2
+    assert len(lazard) == 2
+
+
+def _corpus_ideals():
+    """sigma_ideal of every corpus member, of its restrictions to linear
+    subspaces and of its Le-Iomdine transforms."""
+    for m in CORPUS:
+        f = m.poly
+        polys = [restrict(f, k) for k in range(1, len(f.vars) + 1)]
+        polys += [iomdine(f, p, a)[0] for p in (2, 3) for a in (1, -1)]
+        for p in polys:
+            if any(sum(e) for e in p.terms):
+                yield m.name, sigma_ideal(p)
+
+
+def test_local_dim_agrees_with_lazard_on_the_corpus():
+    for name, J in _corpus_ideals():
+        assert local_dim(J) == lazard_local_dim(J), name
+
+
+def test_local_dim_of_surface_slices_builds_no_standard_basis(monkeypatch):
+    # the critical locus of the surface is 2-dimensional: a general 3-space
+    # cuts it in a curve, a general plane in the origin
+    surface = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
+    lazard = _count_lazard(monkeypatch)
+    for k, want in ((3, 1), (2, 0)):
+        assert local_dim(sigma_ideal(restrict(surface, k, seed=11 * k))) == want
+    assert lazard == []
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _component(draw, vars):
+    """(generators, dimension, through the origin) of one irreducible
+    variety: a fat point, a curve that is a graph over the first
+    coordinate, or in three variables a surface that is a graph over the
+    first two, each through a point p that is often the origin."""
+    n = len(vars)
+    xs = [Polynomial.var_index(i, vars) for i in range(n)]
+    p = tuple(draw(_SMALL) for _ in range(n)) if draw(st.booleans()) else (0,) * n
+    u = [x - Polynomial.constant(c, vars) for x, c in zip(xs, p)]
+    kind = draw(st.sampled_from((0, 1, 2) if n == 3 else (0, 1)))
+    if kind == 0:
+        gens = [ui ** draw(st.integers(1, 2)) for ui in u]
+    else:
+        gens = [
+            u[i] - u[0] ** draw(st.integers(1, 2)) * draw(_SMALL)
+            - (u[1] * u[0] * draw(_SMALL) if kind == 2 else Polynomial.zero(vars))
+            for i in range(kind, n)
+        ]
+    return gens, kind, all(g.constant_term == 0 for g in gens)
+
+
+@st.composite
+def _mixed_ideal(draw):
+    """The product of the ideals of one to three components, in two or three
+    variables, with the dimension of its germ at the origin (-1 when no
+    component passes through it)."""
+    vars = draw(st.sampled_from((XY, XYZ)))
+    comps = draw(st.lists(_component(vars), min_size=1, max_size=3))
+    K = Ideal([Polynomial.constant(1, vars)], vars=vars)
+    for gens, _, _ in comps:
+        K = Ideal([a * b for a in K.gens for b in gens], vars=vars)
+        K = Ideal(K.groebner().elements, vars=vars)
+    return K, max((d for _, d, at0 in comps if at0), default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_ideal())
+def test_local_dim_agrees_with_lazard_on_mixed_ideals(case):
+    K, want = case
+    assert local_dim(K) == lazard_local_dim(K) == want
 
 
 def test_quotient_dim_monomial():
@@ -209,7 +308,11 @@ def test_saturation_route_agrees_with_lazard_and_mora(points, germ):
     d = truncated_quotient_dim(K)
     assert (d is None) == (dim(K) > 0)
     if d is not None:
-        assert d == local_quotient_dim(K) == mora_quotient_dim(K)
+        # the points' factors are units at the origin, so K and the germ (or
+        # the unit ideal) have the same local algebra there; Mora's swell
+        # on K's generators can take minutes
+        at_origin = Ideal(germ or [Polynomial.constant(1, XY)], vars=XY)
+        assert d == local_quotient_dim(K) == mora_quotient_dim(at_origin)
         if not germ:
             assert d == 0
 
