@@ -23,8 +23,6 @@ from .cycles import (
     lambda_numbers,
     mpr_bounds,
     mpr_exact,
-    polar_curve,
-    polar_mult,
     sigma_ideal,
     slice_lam0,
     why_not_singular,
@@ -32,7 +30,7 @@ from .cycles import (
 from .groebner import Ideal
 from .local import local_dim
 from .milnor import sectional, teissier_chain
-from .poly import Frame, ParseError, Polynomial, apply_frame, iomdine, parse, restrict
+from .poly import Frame, ParseError, Polynomial, iomdine, parse, restrict
 
 
 @dataclass(frozen=True)
@@ -530,11 +528,9 @@ def check_newmpr_and_easybound(
     lam0 = rec.lam[0]
     if lam0 is None:
         return [_skip("newmpr", "lambda^0 undefined for this frame")]
-    frame_used = rec.frame
-    h = apply_frame(f, frame_used)
     mult = f.mult_origin()
-    mb = mpr_bounds(f, frame_used, rec)
-    exact = mpr_exact(f, frame_used, components) if components is not None else None
+    mb = mpr_bounds(f, rec.frame, rec)
+    exact = mpr_exact(f, rec.frame, components) if components is not None else None
     base = exact if exact is not None else Fraction(mb.lower)
     ctx = dict(
         lower=mb.lower,
@@ -564,9 +560,9 @@ def check_newmpr_and_easybound(
                 probe = min(probe, Fraction(mb.upper_polar))
         reports.append(_rep("mprmult", probe, mult, probe >= mult, **ctx))
     if lam0 != 0:
-        d0 = h.partial(0)
+        d0 = rec.h.partial(0)
         try:
-            mg1 = polar_curve(f, h, rec).mult
+            mg1 = rec.polar_mult(1)
         except ValueError:
             mg1 = None
         if mg1 is not None and not d0.is_zero:
@@ -590,7 +586,7 @@ def check_newmpr_and_easybound(
         if lj is None or gj is None:
             continue
         try:
-            mnext = polar_mult(f, frame_used, j + 1)
+            mnext = rec.polar_mult(j + 1)
         except ValueError:
             continue
         lhs_j = lj + gj
@@ -604,6 +600,11 @@ def check_newmpr_and_easybound(
     return reports
 
 
+# how many coefficients check_leiom tries: a given one first, then
+# 1, -1, 2, -2, ...
+LEIOM_COEFFS = 8
+
+
 def check_leiom(
     f: Polynomial,
     m: int | None = None,
@@ -612,7 +613,6 @@ def check_leiom(
     seed: int = 0,
     trials: int = 3,
     bound: int = 10,
-    retries: int = 8,
 ) -> list[IneqReport]:
     """Add a generic multiple of z0^m and compare the Le numbers of the
     transform, in rotated coordinates, with the asserted shifts and
@@ -635,8 +635,7 @@ def check_leiom(
         m = 2 if lam0 == 0 else 1 + lam0
     if not isinstance(m, int) or m < 2:
         raise ValueError("power m must be an integer >= 2")
-    frame_used = rec.frame
-    h = apply_frame(f, frame_used)
+    h = rec.h
     z0 = Polynomial.var_index(0, h.vars)
     sig_h = sigma_ideal(h)
     target = Ideal(list(sig_h.gens) + [z0], vars=h.vars)
@@ -649,25 +648,19 @@ def check_leiom(
     z0_ideal = Ideal([z0], vars=h.vars)
 
     lam0_slice = slice_lam0(h)
-    curve = polar_curve(f, h, rec)
-    g1 = curve.gamma1
+    g1 = rec.gamma1()
     try:
-        mult_g1 = curve.mult
+        mult_g1 = rec.polar_mult(1)
     except ValueError:
         mult_g1 = None
     hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
 
     ladder = [] if a is None else [a]
-    k = 1
-    while len(ladder) < retries:
-        ladder.append(k)
-        if len(ladder) < retries:
-            ladder.append(-k)
-        k += 1
+    ladder += [k * sign for k in range(1, LEIOM_COEFFS) for sign in (1, -1)]
 
     chosen = None
     failures = []
-    for av in ladder:
+    for av in ladder[:LEIOM_COEFFS]:
         if av == 0:
             continue
         g, gframe = iomdine(h, m, av)

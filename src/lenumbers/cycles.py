@@ -31,18 +31,18 @@ saturation of the L_i, carried through the frame, is Gamma^j.  f is sparse
 and h usually dense: the surface z^2+(w^4+x^3+y^2)^2 has 7 terms and, in a
 random frame, h has 470.
 
-Each decision about the input and about the relative polar curve is made in
-one place: why_not_singular says whether f is singular at the origin;
-polar_curve gives Gamma^1 of a reframed polynomial, saturated once per Le
-record, with gamma^1 (counted as Gamma^1 . V(z0) when s = 0) and
-mult Gamma^1; slice_lam0 gives lambda^0 of the slice h|V(z0).
+Each decision about the input is made in one place: why_not_singular says
+whether f is singular at the origin, and slice_lam0 gives lambda^0 of the
+slice h|V(z0).  A LeRecord carries the reframed h and the polar ideals
+Gamma^1..Gamma^{s+1} that its cycle recursion built, so gamma^1 and
+mult Gamma^j are read off the record (LeRecord.gamma1, LeRecord.polar_mult)
+and no polar variety of it is saturated twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .groebner import Ideal, _saturate_principal, radical_member, saturate
@@ -226,7 +226,20 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
 class LeRecord:
     """Le numbers lambda^0..lambda^s and relative polar numbers
     gamma^1..gamma^s at the origin, None marking an improper (undefined)
-    intersection.  gamma^0 is identically zero and not stored."""
+    intersection.  gamma^0 is identically zero and not stored.
+
+    The record also keeps what the numbers were computed from: h, the input
+    rewritten in the frame (apply_frame(f, frame)), and polar, the relative
+    polar ideals of h that the cycle recursion built, polar[j-1] being
+    Gamma^j for j = 1..s+1.  Neither shows in repr or takes part in
+    equality.  Each stored Gamma^j is, as a germ at the origin, the one
+    polar_ideal gives, so gamma1 and polar_mult read it as it is: for j <= s
+    it is saturated just as polar_ideal saturates it, and a principal
+    Gamma^j with j > s is kept unsaturated (_polar_of).  That is the same
+    germ at 0: a principal ideal has no embedded components, and its
+    components have dimension n >= j > s (h has n+1 variables), so none of
+    them fits inside the critical locus of h near the origin, and
+    saturation removes nothing there."""
 
     s: int
     lam: tuple
@@ -234,10 +247,8 @@ class LeRecord:
     frame: Frame
     seed: int | None = None
     verified: bool | None = None
-    # the relative polar curve of each reframed polynomial this record has
-    # served (polar_curve), so that every caller holding the record shares
-    # one saturation of Gamma^1
-    _curves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    h: Polynomial | None = field(default=None, repr=False, compare=False)
+    polar: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def defined(self) -> tuple:
@@ -257,6 +268,19 @@ class LeRecord:
         if not self.fully_defined:
             raise ValueError("record has undefined entries")
         return tuple(reversed(self.lam)) + tuple(reversed(self.gam))
+
+    def gamma1(self) -> int | None:
+        """gamma^1 = Gamma^1 . V(z0): stored when s >= 1; a record with
+        s = 0 does not store it, so it is counted from its Gamma^1."""
+        if self.s >= 1:
+            return self.gam[0]
+        return intersection_number(self.polar[0], [Polynomial.var_index(0, self.h.vars)])
+
+    def polar_mult(self, j: int) -> int:
+        """mult Gamma^j at the origin for 1 <= j <= s+1, read off the stored
+        ideal; 0 when Gamma^j misses the origin, ValueError when it is not
+        j-dimensional there."""
+        return _cycle_mult(self.polar[j - 1], j)
 
 
 def why_not_singular(f: Polynomial) -> str | None:
@@ -304,14 +328,15 @@ def lambda_numbers(
         s = local_dim(sigma_ideal(f))
     zvars = [Polynomial.var_index(i, h.vars) for i in range(n1)]
     parts = _partials(f, h, frame)
-    polar = {j: _polar_of(parts, j, s) for j in range(1, s + 2)}
+    # polar[j-1] is Gamma^j
+    polar = tuple(_polar_of(parts, j, s) for j in range(1, s + 2))
     lam: list = [None] * (s + 1)
     gam_full: list = [None] * (s + 1)
     gam_full[0] = 0
     for j in range(s, -1, -1):
         if j >= 1:
-            gam_full[j] = intersection_number(polar[j], zvars[:j])
-        total = intersection_number(polar[j + 1], zvars[:j] + [parts.framed[j]])
+            gam_full[j] = intersection_number(polar[j - 1], zvars[:j])
+        total = intersection_number(polar[j], zvars[:j] + [parts.framed[j]])
         if total is not None and gam_full[j] is not None:
             diff = total - gam_full[j]
             lam[j] = diff if diff >= 0 else None
@@ -321,11 +346,9 @@ def lambda_numbers(
         gam=tuple(gam_full[1:]),
         frame=frame,
         seed=frame.seed,
+        h=h,
+        polar=polar,
     )
-    if s >= 1:
-        # polar[1] is then the saturated Gamma^1 of h: the record's callers
-        # read gamma^1 and mult Gamma^1 from it without saturating again
-        polar_curve(f, h, rec).ideal = polar[1]
     if verify:
         rec = replace(rec, verified=slice_check(f, frame, rec))
     return rec
@@ -370,45 +393,6 @@ def _cycle_mult(P: Ideal, j: int) -> int:
     return hs_multiplicity(P)
 
 
-class PolarCurve:
-    """The relative polar curve Gamma^1 of h = apply_frame(f, rec.frame),
-    f in the coordinates of the Le record rec.  Its ideal is built and
-    saturated at most once, on first use, in the coordinates _polar_of
-    picks; gamma^1 and mult Gamma^1 are both read from it."""
-
-    def __init__(self, f: Polynomial, h: Polynomial, rec: LeRecord):
-        self.f = f
-        self.h = h
-        self.rec = rec
-
-    @cached_property
-    def ideal(self) -> Ideal:
-        return _polar_of(_partials(self.f, self.h, self.rec.frame), 1)
-
-    @cached_property
-    def gamma1(self) -> int | None:
-        """gamma^1 = Gamma^1 . V(z0): the record's when s >= 1; a record
-        with s = 0 does not store it, so it is counted here."""
-        if self.rec.s >= 1:
-            return self.rec.gam[0]
-        return intersection_number(self.ideal, [Polynomial.var_index(0, self.h.vars)])
-
-    @cached_property
-    def mult(self) -> int:
-        """mult Gamma^1 at the origin; ValueError when Gamma^1 is not a
-        curve there."""
-        return _cycle_mult(self.ideal, 1)
-
-
-def polar_curve(f: Polynomial, h: Polynomial, rec: LeRecord) -> PolarCurve:
-    """Gamma^1 of h = apply_frame(f, rec.frame), one per (h, rec): every
-    caller holding the same record reuses its ideal."""
-    curve = rec._curves.get(h)
-    if curve is None:
-        curve = rec._curves[h] = PolarCurve(f, h, rec)
-    return curve
-
-
 def slice_lam0(h: Polynomial) -> int | None:
     """lambda^0 of h restricted to the hyperplane V(z0), in the identity
     frame of the slice; None unless the slice is singular at the origin."""
@@ -418,21 +402,30 @@ def slice_lam0(h: Polynomial) -> int | None:
     return lambda_numbers(h0).lam[0]
 
 
+def _record_in(f: Polynomial, frame: Frame, rec: LeRecord | None) -> LeRecord:
+    """rec, or the Le record of f in frame when rec is None; ValueError
+    when rec was computed in another frame."""
+    if rec is None:
+        return lambda_numbers(f, frame)
+    if rec.frame.matrix != frame.matrix:
+        raise ValueError("the Le record was computed in another frame")
+    return rec
+
+
 def slice_check(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> bool | None:
     """Cross-check lambda^0 of f|V(z0) against gamma^1 + lambda^1.
 
     The two sides agree for frames generic enough that both are defined;
-    None when either side is undefined (nothing to compare)."""
-    if rec is None:
-        rec = lambda_numbers(f, frame)
-    h = apply_frame(f, frame)
-    if len(h.vars) == 1:
+    None when either side is undefined (nothing to compare).  A record
+    computed in another frame is a ValueError."""
+    rec = _record_in(f, frame, rec)
+    if len(f.vars) == 1:
         return None
-    g1 = polar_curve(f, h, rec).gamma1
+    g1 = rec.gamma1()
     l1 = rec.lam[1] if rec.s >= 1 else 0
     if g1 is None or l1 is None:
         return None
-    lam0 = slice_lam0(h)
+    lam0 = slice_lam0(rec.h)
     if lam0 is None:
         return None
     return lam0 == g1 + l1
@@ -457,14 +450,14 @@ class MprBounds:
 
 
 def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> MprBounds:
-    if rec is None:
-        rec = lambda_numbers(f, frame)
+    """The bounds from the Le record of f in frame (computed when rec is
+    None); ValueError when rec was computed in another frame."""
+    rec = _record_in(f, frame, rec)
     lam0 = rec.lam[0]
     if lam0 is None:
         raise ValueError("lambda^0 undefined for this frame")
-    curve = polar_curve(f, apply_frame(f, frame), rec)
-    g1 = curve.gamma1
-    hyp = g1 is not None and g1 == curve.mult
+    g1 = rec.gamma1()
+    hyp = g1 is not None and g1 == rec.polar_mult(1)
     return MprBounds(
         lower=f.mult_origin() if (hyp and g1 != 0) else 1,
         upper_simple=lam0 + 1,

@@ -571,15 +571,14 @@ def iomdine(f: Polynomial, m: int, a) -> tuple[Polynomial, Frame]:
 def restrict(
     f: Polynomial,
     k: int,
-    frame: Frame | None = None,
     seed: int | None = None,
     bound: int = 10,
 ) -> Polynomial:
     """Restrict f to a k-dimensional linear subspace.
 
     The first k variables survive; each eliminated variable is replaced by a
-    linear combination of the survivors (random integer coefficients drawn
-    from the seed unless an explicit frame supplies the subspace).
+    linear combination of the survivors, with random integer coefficients
+    drawn from the seed.
     """
     n = len(f.vars)
     if not 1 <= k <= n:
@@ -588,11 +587,6 @@ def restrict(
         raise ValueError("coefficient bound must be at least 1")
     if k == n:
         return f
-    if frame is not None:
-        g = apply_frame(f, frame)
-        for i in range(n - 1, k - 1, -1):
-            g = g.set_var_zero(i)
-        return g
     rng = random.Random(0 if seed is None else seed)
     new_vars = f.vars[:k]
     rows: list[list[Fraction]] = []

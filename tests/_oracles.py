@@ -24,7 +24,7 @@ evidence:
   in the frame's own coordinates, where the library saturates whichever of
   those and f's own partials are the smaller and carries the result
   through the frame.  polar_curve_mult reads mult Gamma^1 off it, where
-  the library reads it from cycles.PolarCurve.
+  the library reads it off the Gamma^1 its Le record holds.
 """
 
 from __future__ import annotations

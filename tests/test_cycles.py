@@ -1,7 +1,7 @@
 import pytest
 
 import lenumbers.cycles as cycles
-from lenumbers.checks import check_newmpr_and_easybound
+from lenumbers.checks import check_leiom, check_newmpr_and_easybound
 from lenumbers.cycles import (
     generic_le,
     germ_subset,
@@ -192,24 +192,36 @@ def test_sigma_ideal_gens_are_the_partials():
     assert sorted(str(g) for g in S.gens) == ["2*x", "3*y^2"]
 
 
-def test_polar_curve_matches_a_fresh_polar_ideal():
-    for f, frame in (
-        (BN0, Frame.identity(3)),
-        (TX, Frame.identity(3)),
-        (parse("x^2+y^3", XY), Frame.random(2, 1, 10)),
-        (parse("x^2+y^2+z^3", XYZ), Frame.random(3, 2, 10)),
-    ):
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_le_record_carries_its_germ_and_polar_varieties(member):
+    f = member.poly
+    n1 = len(f.vars)
+    for frame in (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1)):
         rec = lambda_numbers(f, frame)
-        h = apply_frame(f, frame)
-        curve = cycles.polar_curve(f, h, rec)
-        assert cycles.polar_curve(f, h, rec) is curve
-        assert curve.mult == polar_curve_mult(f, frame)
-        z0 = Polynomial.var_index(0, h.vars)
-        assert curve.gamma1 == intersection_number(polar_ideal(f, frame, 1), [z0])
+        assert rec.h == apply_frame(f, frame)
+        assert len(rec.polar) == rec.s + 1
+        for j in range(1, rec.s + 2):
+            try:
+                want = polar_mult(f, frame, j)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rec.polar_mult(j)
+            else:
+                assert rec.polar_mult(j) == want, (frame, j)
+        z0 = Polynomial.var_index(0, f.vars)
+        assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), [z0])
 
 
-def test_newmpr_saturates_the_polar_curve_once(monkeypatch):
-    # an s = 0 plane curve: the Le recursion itself needs no polar saturation
+def test_le_record_repr_and_equality_leave_out_the_germ():
+    frame = Frame.random(3, 1)
+    rec = lambda_numbers(BN0, frame)
+    assert "h=" not in repr(rec) and "polar=" not in repr(rec)
+    assert lambda_numbers(BN0, frame) == rec
+
+
+def test_newmpr_saturates_no_polar_variety(monkeypatch):
+    # an s = 0 plane curve: the Le recursion keeps its principal Gamma^1 as it
+    # is, and the checker reads gamma^1 and mult Gamma^1 off that ideal
     polar = []
     saturate = cycles.saturate
 
@@ -221,25 +233,34 @@ def test_newmpr_saturates_the_polar_curve_once(monkeypatch):
     monkeypatch.setattr(cycles, "saturate", counting)
     reports = check_newmpr_and_easybound(parse("x^2+y^3", XY), seed=0)
     assert "easybound" in [r.name for r in reports]
-    assert len(polar) == 1
-
-
-def test_le_record_hands_its_polar_curve_on(monkeypatch):
-    # s = 1: lambda_numbers saturates Gamma^1 itself, and mult Gamma^1 is
-    # read from that ideal
-    frame = Frame.identity(3)
-    rec = lambda_numbers(BN0, frame)
-    polar = []
-    saturate = cycles.saturate
-
-    def counting(I, J):
-        polar.append(J)
-        return saturate(I, J)
-
-    monkeypatch.setattr(cycles, "saturate", counting)
-    mult = cycles.polar_curve(BN0, apply_frame(BN0, frame), rec).mult
     assert polar == []
-    assert mult == polar_curve_mult(BN0, frame)
+
+
+def test_checkers_read_the_polar_varieties_off_the_record(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polar ideal rebuilt")
+
+    monkeypatch.setattr(cycles, "polar_ideal", refuse)
+    reports = check_newmpr_and_easybound(BN0, frame=Frame.identity(3))
+    assert {"easybound", "lambda-gamma-1"} <= {r.name for r in reports}
+    reports = check_leiom(BN0, m=2, seed=0)
+    assert reports and not any(r.skipped for r in reports)
+
+
+def test_slice_check_refuses_a_record_from_another_frame():
+    rec = lambda_numbers(BN0, Frame.identity(3))
+    with pytest.raises(ValueError):
+        slice_check(BN0, Frame.random(3, 1), rec)
+    # the same coordinates under another seed are the same frame
+    assert slice_check(BN0, Frame(Frame.identity(3).matrix, seed=5), rec) is True
+
+
+def test_mpr_bounds_refuses_a_record_from_another_frame():
+    rec = lambda_numbers(BN0, Frame.identity(3))
+    with pytest.raises(ValueError):
+        mpr_bounds(BN0, Frame.random(3, 1), rec)
+    same = Frame(Frame.identity(3).matrix, seed=5)
+    assert mpr_bounds(BN0, same, rec) == mpr_bounds(BN0, Frame.identity(3))
 
 
 SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
