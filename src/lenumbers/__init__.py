@@ -8,7 +8,7 @@ types they take and return; the checkers live in lenumbers.checks.
 The exported function milnor shares its name with the submodule that
 defines it, and the function wins: lenumbers.milnor, and so also
 `import lenumbers.milnor as m`, is the function.  The submodule's other
-names (sectional, teissier_chain) are imported from it by name, as in
+name, sectional, is imported from it by name, as in
 `from lenumbers.milnor import sectional`, or read from
 sys.modules["lenumbers.milnor"]."""
 

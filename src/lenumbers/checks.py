@@ -29,7 +29,7 @@ from .cycles import (
 )
 from .groebner import Ideal
 from .local import local_dim
-from .milnor import sectional, teissier_chain
+from .milnor import sectional
 from .poly import Frame, ParseError, Polynomial, iomdine, parse, restrict
 
 
@@ -107,25 +107,39 @@ def check_funbound(
 
 
 def check_teissier(f: Polynomial, seed: int = 0) -> list[IneqReport]:
-    """Log-convexity of the sectional Milnor sequence for an isolated
-    singularity; lhs/rhs are the top two consecutive ratios."""
-    try:
-        rep = teissier_chain(f, seed=seed)
-    except (ValueError, RuntimeError) as e:
-        return [_skip("teissier", str(e))]
-    lhs = rep.ratios[-1]
-    rhs = rep.ratios[-2] if len(rep.ratios) >= 2 else Fraction(1)
+    """Teissier's chain for an isolated singularity: the sectional Milnor
+    numbers mu^[k] = sectional(f, k), k = 0..n, must have ratios
+    mu^[k]/mu^[k-1] that do not increase as k drops, which forces
+    mu^[k+1] >= (mult-1) * mu^[k] and mu^[k] >= (mult-1)^k.  lhs/rhs are
+    the top two consecutive ratios.  Input not singular at the origin, a
+    singularity that is not isolated and an undefined sectional number are
+    skips."""
+    why = why_not_singular(f)
+    if why is not None:
+        return [_skip("teissier", why)]
+    if local_dim(sigma_ideal(f)) > 0:
+        return [_skip("teissier", "the singularity is not isolated")]
+    mu = tuple(sectional(f, k, seed=seed) for k in range(len(f.vars) + 1))
+    if None in mu:
+        return [_skip("teissier", "a sectional Milnor number came out undefined")]
+    ratios = tuple(Fraction(mu[k], mu[k - 1]) for k in range(1, len(mu)))
+    m1 = f.mult_origin() - 1
+    monotone = all(ratios[k] <= ratios[k + 1] for k in range(len(ratios) - 1))
+    power_bounds = all(
+        mu[k + 1] >= m1 * mu[k] and mu[k] >= m1**k for k in range(len(mu) - 1)
+    )
+    mult_consistent = mu[0] == 1 and mu[1] == m1
     return [
         _rep(
             "teissier",
-            lhs,
-            rhs,
-            rep.holds,
-            profile=rep.profile.values,
-            ratios=tuple(str(r) for r in rep.ratios),
-            monotone=rep.monotone,
-            power_bounds=rep.power_bounds,
-            mult_consistent=rep.mult_consistent,
+            ratios[-1],
+            ratios[-2] if len(ratios) >= 2 else 1,
+            monotone and power_bounds and mult_consistent,
+            profile=mu,
+            ratios=tuple(str(r) for r in ratios),
+            monotone=monotone,
+            power_bounds=power_bounds,
+            mult_consistent=mult_consistent,
             seed=seed,
         )
     ]
@@ -600,8 +614,8 @@ def check_newmpr_and_easybound(
     return reports
 
 
-# how many coefficients check_leiom tries: a given one first, then
-# 1, -1, 2, -2, ...
+# how many distinct coefficients check_leiom tries: a given one first, then
+# 1, -1, 2, -2, ... without it
 LEIOM_COEFFS = 8
 
 
@@ -622,7 +636,9 @@ def check_leiom(
     branch.  The structure claims (critical locus restriction, dimension
     drop, existence) gate everything: a coefficient that fails them is
     replaced, walking a deterministic ladder, and only claim failures
-    count as findings."""
+    count as findings.  A given a must be nonzero."""
+    if a == 0:
+        raise ValueError("coefficient a must be nonzero")
     rec, generic = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("leiom", "Le numbers undefined")]
@@ -656,13 +672,11 @@ def check_leiom(
     hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
 
     ladder = [] if a is None else [a]
-    ladder += [k * sign for k in range(1, LEIOM_COEFFS) for sign in (1, -1)]
+    ladder += [c for k in range(1, LEIOM_COEFFS) for c in (k, -k) if c != a]
 
     chosen = None
     failures = []
     for av in ladder[:LEIOM_COEFFS]:
-        if av == 0:
-            continue
         g, gframe = iomdine(h, m, av)
         sig_g = sigma_ideal(g)
         if not (germ_subset(sig_g, z0_ideal) and germ_subset(target, sig_g)):

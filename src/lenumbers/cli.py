@@ -39,6 +39,7 @@ from .cycles import (
     lambda_numbers,
     polar_mult,
     sigma_ideal,
+    slice_check,
 )
 from .local import local_dim
 from .milnor import milnor, sectional
@@ -87,7 +88,12 @@ def _common_flags(sp, with_poly=True):
         action="store_true",
         help="draw the seed from OS entropy; the chosen seed is reported",
     )
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument(
+        "--trials",
+        type=int,
+        default=None,
+        help="frames per round (compute, check) or cap on instances (search)",
+    )
     sp.add_argument("--bound", type=int, default=10)
     sp.add_argument("--json", dest="json_out", action="store_true")
     sp.add_argument("--out", default=None, help="also write the JSON report here")
@@ -282,10 +288,11 @@ def _cmd_compute(args) -> int:
             rec = generic_le(f, seed=seed, trials=trials, bound=args.bound)
             values["slice_check"] = None
         else:
-            rec = lambda_numbers(f, _concrete_frame(args.frame, n1, seed, args.bound), verify=True)
-            values["slice_check"] = rec.verified
+            frame = _concrete_frame(args.frame, n1, seed, args.bound)
+            rec = lambda_numbers(f, frame)
+            values["slice_check"] = slice_check(f, frame, rec)
         le = _le_json(rec)
-        frame_obj = _frame_json(rec.frame, rec.seed)
+        frame_obj = _frame_json(rec.frame, rec.frame.seed)
         if not all(v is not None for v in rec.lam):
             code = 2
         if not args.json_out:
@@ -469,6 +476,8 @@ def main(argv=None) -> int:
     try:
         if args.bound < 1:
             raise _InputError("--bound must be at least 1")
+        if args.trials is not None and args.trials < 1:
+            raise _InputError("--trials must be at least 1")
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "check":

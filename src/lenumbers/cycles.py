@@ -41,7 +41,7 @@ and no polar variety of it is saturated twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -72,7 +72,7 @@ class _Partials:
     """The first partials of h = apply_frame(f, frame), written twice.
 
     framed[i] is dh/dz_i in the frame's coordinates.  source[i] is
-    sum_k B[k][i] * df/dx_k with B = frame.inverse_rows(): the same partial
+    sum_k B[k][i] * df/dx_k with B = frame.inverse: the same partial
     in f's own coordinates, since apply_frame(source[i], frame) ==
     framed[i] by the chain rule."""
 
@@ -84,7 +84,7 @@ class _Partials:
 def _partials(f: Polynomial, h: Polynomial, frame: Frame) -> _Partials:
     """The partials of h = apply_frame(f, frame) in both coordinates."""
     n1 = len(f.vars)
-    inv = frame.inverse_rows()
+    inv = frame.inverse
     df = [f.partial(k) for k in range(n1)]
     source = []
     for i in range(n1):
@@ -239,20 +239,15 @@ class LeRecord:
     germ at 0: a principal ideal has no embedded components, and its
     components have dimension n >= j > s (h has n+1 variables), so none of
     them fits inside the critical locus of h near the origin, and
-    saturation removes nothing there."""
+    saturation removes nothing there.  Only lambda_numbers builds records;
+    the frame carries the seed it was drawn from."""
 
     s: int
     lam: tuple
     gam: tuple
     frame: Frame
-    seed: int | None = None
-    verified: bool | None = None
-    h: Polynomial | None = field(default=None, repr=False, compare=False)
-    polar: tuple = field(default=(), repr=False, compare=False)
-
-    @property
-    def defined(self) -> tuple:
-        return tuple(v is not None for v in self.lam)
+    h: Polynomial = field(repr=False, compare=False)
+    polar: tuple = field(repr=False, compare=False)
 
     @property
     def fully_defined(self) -> bool:
@@ -302,21 +297,16 @@ def _validate_singular(f: Polynomial) -> None:
 
 
 def lambda_numbers(
-    f: Polynomial,
-    frame: Frame | None = None,
-    verify: bool = False,
-    *,
-    s: int | None = None,
+    f: Polynomial, frame: Frame | None = None, *, s: int | None = None
 ) -> LeRecord:
     """Le and relative polar numbers of f at the origin for one frame.
 
     Runs the cycle recursion Lambda^j + Gamma^j = Gamma^{j+1} . V(df/dz_j):
     lambda^j is the intersection number of Gamma^{j+1} with V(df/dz_j) and j
     coordinate hyperplanes, minus gamma^j.  Improper intersections leave the
-    affected entries None.  With verify=True the slice cross-check
-    (slice_check) verdict is attached to the record.  s, the dimension of
-    the critical locus at the origin, is computed unless the caller already
-    holds it: it does not depend on the frame.
+    affected entries None.  s, the dimension of the critical locus at the
+    origin, is computed unless the caller already holds it: it does not
+    depend on the frame.  slice_check cross-checks the record.
     """
     _validate_singular(f)
     n1 = len(f.vars)
@@ -340,18 +330,9 @@ def lambda_numbers(
         if total is not None and gam_full[j] is not None:
             diff = total - gam_full[j]
             lam[j] = diff if diff >= 0 else None
-    rec = LeRecord(
-        s=s,
-        lam=tuple(lam),
-        gam=tuple(gam_full[1:]),
-        frame=frame,
-        seed=frame.seed,
-        h=h,
-        polar=polar,
+    return LeRecord(
+        s=s, lam=tuple(lam), gam=tuple(gam_full[1:]), frame=frame, h=h, polar=polar
     )
-    if verify:
-        rec = replace(rec, verified=slice_check(f, frame, rec))
-    return rec
 
 
 def generic_le(
@@ -402,23 +383,20 @@ def slice_lam0(h: Polynomial) -> int | None:
     return lambda_numbers(h0).lam[0]
 
 
-def _record_in(f: Polynomial, frame: Frame, rec: LeRecord | None) -> LeRecord:
-    """rec, or the Le record of f in frame when rec is None; ValueError
-    when rec was computed in another frame."""
-    if rec is None:
-        return lambda_numbers(f, frame)
+def _record_in(frame: Frame, rec: LeRecord) -> None:
+    """ValueError when rec was computed in another frame."""
     if rec.frame.matrix != frame.matrix:
         raise ValueError("the Le record was computed in another frame")
-    return rec
 
 
-def slice_check(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> bool | None:
-    """Cross-check lambda^0 of f|V(z0) against gamma^1 + lambda^1.
+def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
+    """Cross-check lambda^0 of f|V(z0) against gamma^1 + lambda^1, read off
+    rec, the Le record of f in frame.
 
     The two sides agree for frames generic enough that both are defined;
     None when either side is undefined (nothing to compare).  A record
     computed in another frame is a ValueError."""
-    rec = _record_in(f, frame, rec)
+    _record_in(frame, rec)
     if len(f.vars) == 1:
         return None
     g1 = rec.gamma1()
@@ -446,13 +424,12 @@ class MprBounds:
     lower: int
     upper_simple: int
     upper_polar: int | None
-    exact: Fraction | None = None
 
 
-def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord | None = None) -> MprBounds:
-    """The bounds from the Le record of f in frame (computed when rec is
-    None); ValueError when rec was computed in another frame."""
-    rec = _record_in(f, frame, rec)
+def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord) -> MprBounds:
+    """The bounds from rec, the Le record of f in frame; ValueError when rec
+    was computed in another frame."""
+    _record_in(frame, rec)
     lam0 = rec.lam[0]
     if lam0 is None:
         raise ValueError("lambda^0 undefined for this frame")

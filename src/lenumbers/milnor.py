@@ -5,15 +5,15 @@ number of a generic section is the minimum over planes (special planes only
 inflate it, or lose finiteness), so two independent draws that agree give
 the generic value with high confidence and the protocol retries with larger
 coefficient bounds when they do not.  All randomness is seeded.
+
+Teissier's chain mu^[0], ..., mu^[n] is sectional(f, k) for k = 0..n; the
+checker that tests it (checks.check_teissier) reads these numbers directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .cycles import sigma_ideal
-from .local import local_dim, local_quotient_dim
+from .local import local_quotient_dim
 from .poly import Polynomial, restrict
 
 
@@ -64,61 +64,3 @@ def sectional(f: Polynomial, k: int, seed: int = 0) -> int | None:
                 best = value
         bound *= 2
     return best
-
-
-@dataclass(frozen=True)
-class SectionalProfile:
-    """Sectional Milnor numbers mu(f^[k]) for k = 0..dim, None marking a
-    section that never came out isolated."""
-
-    values: tuple
-    seed: int
-
-    @classmethod
-    def compute(cls, f: Polynomial, seed: int = 0) -> "SectionalProfile":
-        n1 = len(f.vars)
-        return cls(
-            values=tuple(sectional(f, k, seed=seed) for k in range(n1 + 1)),
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
-class TeissierReport:
-    """Verdicts on the sectional profile of an isolated singularity: the
-    ratio chain mu^[k]/mu^[k-1] must not increase as k drops, which forces
-    mu^[k+1] >= (mult-1) * mu^[k] and mu^[k] >= (mult-1)^k."""
-
-    profile: SectionalProfile
-    ratios: tuple
-    monotone: bool
-    power_bounds: bool
-    mult_consistent: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.monotone and self.power_bounds and self.mult_consistent
-
-
-def teissier_chain(f: Polynomial, seed: int = 0) -> TeissierReport:
-    if f.is_zero or f.constant_term != 0:
-        raise ValueError("f must be nonzero with f(0) = 0")
-    if f.mult_origin() < 2:
-        raise ValueError("f is smooth at the origin")
-    if local_dim(sigma_ideal(f)) > 0:
-        raise ValueError("the singularity is not isolated")
-    profile = SectionalProfile.compute(f, seed=seed)
-    mu = profile.values
-    if any(v is None for v in mu):
-        raise RuntimeError("a sectional Milnor number came out undefined")
-    ratios = tuple(Fraction(mu[k], mu[k - 1]) for k in range(1, len(mu)))
-    m1 = f.mult_origin() - 1
-    return TeissierReport(
-        profile=profile,
-        ratios=ratios,
-        monotone=all(ratios[k] <= ratios[k + 1] for k in range(len(ratios) - 1)),
-        power_bounds=all(
-            mu[k + 1] >= m1 * mu[k] and mu[k] >= m1**k for k in range(len(mu) - 1)
-        ),
-        mult_consistent=mu[0] == 1 and mu[1] == m1,
-    )

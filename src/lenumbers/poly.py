@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -70,13 +70,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c, vars: Sequence[str]) -> "Polynomial":
         return cls(vars, {(0,) * len(vars): Fraction(c)})
-
-    @classmethod
-    def variable(cls, name: str, vars: Sequence[str]) -> "Polynomial":
-        i = tuple(vars).index(name)
-        e = [0] * len(vars)
-        e[i] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
 
     @classmethod
     def var_index(cls, i: int, vars: Sequence[str]) -> "Polynomial":
@@ -432,7 +425,7 @@ class _Parser:
         if kind == "name":
             if val not in self.vars:
                 raise ParseError(f"unknown variable {val!r} at position {pos}")
-            return Polynomial.variable(val, self.vars)
+            return Polynomial.var_index(self.vars.index(val), self.vars)
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")
@@ -454,32 +447,34 @@ def parse(text: str, vars: Sequence[str]) -> Polynomial:
 # -- frames ----------------------------------------------------------------
 
 
-def _det(mat: list[list[Fraction]]) -> Fraction:
+def _inverse(mat: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the inverse matrix (Gauss-Jordan over Fractions); ValueError
+    when the matrix is singular."""
     n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
+    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(mat)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
+            raise ValueError("frame matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
+        m[col] = [a * inv for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+    return tuple(tuple(row[n:]) for row in m)
 
 
 @dataclass(frozen=True)
 class Frame:
-    """An invertible linear coordinate tuple: row i is the linear form z_i."""
+    """An invertible linear coordinate tuple: row i is the linear form z_i.
+    inverse holds the rows of the inverse matrix, computed once."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
     seed: int | None = None
+    inverse: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -487,8 +482,7 @@ class Frame:
         if any(len(row) != n for row in mat):
             raise ValueError("frame matrix must be square")
         object.__setattr__(self, "matrix", mat)
-        if _det([list(r) for r in mat]) == 0:
-            raise ValueError("frame matrix is singular")
+        object.__setattr__(self, "inverse", _inverse(mat))
 
     @property
     def n(self) -> int:
@@ -529,31 +523,17 @@ class Frame:
                 tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
                 for _ in range(n)
             )
-            if _det([list(r) for r in rows]) != 0:
+            try:
                 return cls(rows, seed=seed)
-
-    def inverse_rows(self) -> list[list[Fraction]]:
-        """Rows of the inverse matrix (Gauss-Jordan over Fractions)."""
-        n = self.n
-        m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.matrix)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if m[r][col])
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [a * inv for a in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return [row[n:] for row in m]
+            except ValueError:  # a singular draw: draw again
+                pass
 
 
 def apply_frame(p: Polynomial, frame: Frame) -> Polynomial:
     """Rewrite p in the frame's coordinates (same variable names)."""
     if frame.n != len(p.vars):
         raise ValueError("frame size does not match variable count")
-    return p.compose_linear(frame.inverse_rows(), p.vars)
+    return p.compose_linear(frame.inverse, p.vars)
 
 
 def iomdine(f: Polynomial, m: int, a) -> tuple[Polynomial, Frame]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import lenumbers.checks as checks
 from lenumbers.checks import (
     check_dagger,
     check_funbound,
@@ -163,6 +164,35 @@ def test_leiom_gates_agree_where_the_transform_fails():
 def test_leiom_rejects_bad_power():
     with pytest.raises(ValueError):
         check_leiom(BN0, m=1)
+
+
+@pytest.mark.parametrize(
+    "a, ladder",
+    [
+        (None, [1, -1, 2, -2, 3, -3, 4, -4]),
+        (1, [1, -1, 2, -2, 3, -3, 4, -4]),
+        (5, [5, 1, -1, 2, -2, 3, -3, 4]),
+    ],
+)
+def test_leiom_ladder_tries_distinct_coefficients(monkeypatch, a, ladder):
+    # every coefficient fails the gate, so the whole ladder is walked
+    tried = []
+
+    def iomdine_spy(h, m, av):
+        tried.append(av)
+        return iomdine(h, m, av)
+
+    monkeypatch.setattr(checks, "germ_subset", lambda I, J: False)
+    monkeypatch.setattr(checks, "iomdine", iomdine_spy)
+    (rep,) = check_leiom(BN0, m=2, a=a, frame=Frame.identity(3))
+    assert rep.skipped
+    assert tried == ladder
+    assert len(rep.context["failures"]) == checks.LEIOM_COEFFS
+
+
+def test_leiom_rejects_a_zero_coefficient():
+    with pytest.raises(ValueError, match="coefficient a must be nonzero"):
+        check_leiom(BN0, m=2, a=0)
 
 
 def test_suspension_plane_curve():

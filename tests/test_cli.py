@@ -301,6 +301,25 @@ def test_bound_below_one_is_input_error(tmp_path, capsys, bound):
         assert "--bound" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "funbound", "-f", "x^2+y^3", "--vars", "x,y"],
+        ["check", "mainmany", *BN0_ARGS, "--frame", "identity"],
+        ["compute", "le", "-f", "x^2+y^3", "--vars", "x,y"],
+        ["search", "dagger", "--family", "{family}"],
+    ],
+)
+def test_trials_below_one_is_input_error(tmp_path, capsys, argv, trials):
+    fam = family_file(tmp_path, json.dumps({"template": "x^a + y^3", "params": {"a": [2]}}))
+    argv = [fam if a == "{family}" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert "error: --trials must be at least 1" in err
+
+
 @pytest.mark.parametrize("poly", ["x+1", "x^2+y"])
 def test_check_rejects_input_not_singular_at_the_origin(capsys, poly):
     code, out, err = run(capsys, "check", "funbound", "-f", poly, "--vars", "x,y")

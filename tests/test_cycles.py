@@ -32,11 +32,11 @@ X2Y2 = parse("x^2*y^2", XY)
 
 
 def test_bn0_identity_frame():
-    rec = lambda_numbers(BN0, verify=True)
+    rec = lambda_numbers(BN0)
     assert rec.s == 1
     assert rec.lam == (2, 3)
     assert rec.gam == (1,)
-    assert rec.verified is True
+    assert slice_check(BN0, Frame.identity(3), rec) is True
 
 
 def test_tx_identity_frame():
@@ -126,14 +126,14 @@ def test_intersection_number_saturated_curve_missing_the_origin_is_zero():
 
 
 def test_slice_cross_check():
-    assert slice_check(BN0, Frame.identity(3)) is True
-    assert slice_check(TX, Frame.identity(3)) is True
+    for f in (BN0, TX):
+        assert slice_check(f, Frame.identity(3), lambda_numbers(f)) is True
 
 
 def test_mpr_bounds():
-    mb = mpr_bounds(BN0, Frame.identity(3))
+    mb = mpr_bounds(BN0, Frame.identity(3), lambda_numbers(BN0))
     assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 3, 3)
-    mb = mpr_bounds(TX, Frame.identity(3))
+    mb = mpr_bounds(TX, Frame.identity(3), lambda_numbers(TX))
     assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 13, 10)
 
 
@@ -253,6 +253,7 @@ def test_slice_check_refuses_a_record_from_another_frame():
         slice_check(BN0, Frame.random(3, 1), rec)
     # the same coordinates under another seed are the same frame
     assert slice_check(BN0, Frame(Frame.identity(3).matrix, seed=5), rec) is True
+    assert slice_check(BN0, Frame.identity(3), rec) is True
 
 
 def test_mpr_bounds_refuses_a_record_from_another_frame():
@@ -260,7 +261,7 @@ def test_mpr_bounds_refuses_a_record_from_another_frame():
     with pytest.raises(ValueError):
         mpr_bounds(BN0, Frame.random(3, 1), rec)
     same = Frame(Frame.identity(3).matrix, seed=5)
-    assert mpr_bounds(BN0, same, rec) == mpr_bounds(BN0, Frame.identity(3))
+    assert mpr_bounds(BN0, same, rec) == mpr_bounds(BN0, Frame.identity(3), rec)
 
 
 SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))

@@ -1,6 +1,7 @@
 import pytest
 
-from lenumbers.milnor import SectionalProfile, milnor, sectional, teissier_chain
+from lenumbers.checks import check_teissier
+from lenumbers.milnor import milnor, sectional
 from lenumbers.poly import parse
 
 from _corpus import BY_NAME
@@ -52,25 +53,26 @@ def test_sectional_retries_a_line_inside_the_zero_set():
     assert sectional(parse("x^2*y+x*y^2", ("x", "y")), 1, seed=3) == 2
 
 
-def test_sectional_profile_dataclass():
-    p = SectionalProfile.compute(BY_NAME["tx"].poly, seed=0)
-    assert p.values == (1, 2, 6, None)
-    assert p.seed == 0
+def test_sectional_profile_of_tx():
+    tx = BY_NAME["tx"].poly
+    assert [sectional(tx, k, seed=0) for k in range(4)] == [1, 2, 6, None]
 
 
-def test_teissier_chain_brieskorn():
-    rep = teissier_chain(BY_NAME["brieskorn"].poly, seed=0)
-    assert rep.profile.values == (1, 1, 2, 8)
+def test_teissier_profile_brieskorn():
+    (rep,) = check_teissier(BY_NAME["brieskorn"].poly, seed=0)
+    assert not rep.skipped
+    assert rep.context["profile"] == (1, 1, 2, 8)
     assert rep.holds
-    assert rep.ratios[-1] == 4
+    assert rep.lhs == 4
 
 
-def test_teissier_chain_validation():
-    with pytest.raises(ValueError):
-        teissier_chain(parse("0", ("x", "y")))
-    with pytest.raises(ValueError):
-        teissier_chain(parse("1+x^2", ("x", "y")))
-    with pytest.raises(ValueError):
-        teissier_chain(parse("x+y^2", ("x", "y")))
-    with pytest.raises(ValueError):
-        teissier_chain(BY_NAME["bn0"].poly)
+def test_teissier_validation_skips():
+    for f, reason in (
+        (parse("0", ("x", "y")), "f must be nonzero"),
+        (parse("1+x^2", ("x", "y")), "f(0) != 0"),
+        (parse("x+y^2", ("x", "y")), "the origin is not a critical point of f"),
+        (BY_NAME["bn0"].poly, "the singularity is not isolated"),
+    ):
+        (rep,) = check_teissier(f, seed=0)
+        assert rep.skipped and rep.reason == reason, str(f)
+        assert rep.lhs is None and rep.rhs is None

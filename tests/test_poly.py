@@ -106,8 +106,22 @@ def test_parse_str_round_trip(p):
 def test_frame_inverse_round_trips(seed):
     F = Frame.random(3, seed)
     f = parse("x^3 - 2*x*y*z + z^2", XYZ)
-    G = Frame(tuple(tuple(r) for r in F.inverse_rows()))
+    G = Frame(F.inverse)
     assert apply_frame(apply_frame(f, F), G) == f
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("bound", [1, 10])
+def test_frame_inverse_is_the_inverse_matrix(n, bound):
+    # at bound 1 many first draws are singular, so the retry runs too
+    identity = Frame.identity(n).matrix
+    for seed in range(40):
+        F = Frame.random(n, seed, bound)
+        product = tuple(
+            tuple(sum(F.matrix[i][k] * F.inverse[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        assert product == identity
 
 
 def test_frame_permutation_rotation():
@@ -118,8 +132,11 @@ def test_frame_permutation_rotation():
 
 
 def test_frame_rejects_singular_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame matrix is singular"):
         Frame(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
+    # the first pivot needs a row swap; the third column then has none
+    with pytest.raises(ValueError, match="frame matrix is singular"):
+        Frame(((0, 1, 1), (1, 0, 1), (1, 1, 2)))
 
 
 def test_coefficient_bound_below_one_is_rejected():
