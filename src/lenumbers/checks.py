@@ -29,7 +29,7 @@ from .cycles import (
 )
 from .groebner import Ideal
 from .local import local_dim
-from .milnor import sectional
+from .milnor import milnor, sectional
 from .poly import Frame, ParseError, Polynomial, iomdine, parse, restrict
 
 
@@ -117,9 +117,10 @@ def check_teissier(f: Polynomial, seed: int = 0) -> list[IneqReport]:
     why = why_not_singular(f)
     if why is not None:
         return [_skip("teissier", why)]
-    if local_dim(sigma_ideal(f)) > 0:
+    mu_n = milnor(f)
+    if mu_n is None:
         return [_skip("teissier", "the singularity is not isolated")]
-    mu = tuple(sectional(f, k, seed=seed) for k in range(len(f.vars) + 1))
+    mu = tuple(sectional(f, k, seed=seed) for k in range(len(f.vars))) + (mu_n,)
     if None in mu:
         return [_skip("teissier", "a sectional Milnor number came out undefined")]
     ratios = tuple(Fraction(mu[k], mu[k - 1]) for k in range(1, len(mu)))
@@ -259,22 +260,18 @@ def check_mainmany(
     def lamC(i):
         return 0 if C is None or i > C.s else C.lam[i]
 
-    # k_1 = lambda^0 of the top slice; each later k adds one more term of
-    # the slice profile weighted by the product of the earlier k's
-    ks: list[int] = []
-    for p in range(1, su + 1):
-        val, prod = lamB(0), 1
-        for i in range(1, p):
-            prod *= ks[i - 1]
-            val += lamB(i) * prod
-        ks.append(val)
-
     def weighted(lam, top):
         val, prod = lam(0), 1
         for i in range(1, top + 1):
             prod *= ks[i - 1]
             val += lam(i) * prod
         return val
+
+    # k_1 = lambda^0 of the top slice; each later k adds one more term of
+    # the slice profile weighted by the product of the earlier k's
+    ks: list[int] = []
+    for p in range(su):
+        ks.append(weighted(lamB, p))
 
     D = weighted(lamB, su - 1)
     rhsden = weighted(lamC, su - 2) if C is not None else lam0C
@@ -284,8 +281,6 @@ def check_mainmany(
     rhs = Fraction(D, rhsden)
 
     ident: dict[str, bool] = {}
-    if su >= 1:
-        ident["k_last"] = D == ks[-1]
     if A.s >= 1 and A.gam[0] is not None and A.lam[1] is not None:
         ident["slice0"] = lamB(0) == A.gam[0] + A.lam[1]
     if A.s >= 2 and A.gam[1] is not None and A.lam[2] is not None:
@@ -575,10 +570,7 @@ def check_newmpr_and_easybound(
         reports.append(_rep("mprmult", probe, mult, probe >= mult, **ctx))
     if lam0 != 0:
         d0 = rec.h.partial(0)
-        try:
-            mg1 = rec.polar_mult(1)
-        except ValueError:
-            mg1 = None
+        mg1 = rec.polar_mult(1)
         if mg1 is not None and not d0.is_zero:
             mid = mg1 * d0.mult_origin()
             low = mg1 * (mult - 1)
@@ -599,9 +591,8 @@ def check_newmpr_and_easybound(
         lj, gj = rec.lam[j], rec.gam[j - 1]
         if lj is None or gj is None:
             continue
-        try:
-            mnext = rec.polar_mult(j + 1)
-        except ValueError:
+        mnext = rec.polar_mult(j + 1)
+        if mnext is None:
             continue
         lhs_j = lj + gj
         rhs_j = (mult - 1) * mnext
@@ -665,10 +656,7 @@ def check_leiom(
 
     lam0_slice = slice_lam0(h)
     g1 = rec.gamma1()
-    try:
-        mult_g1 = rec.polar_mult(1)
-    except ValueError:
-        mult_g1 = None
+    mult_g1 = rec.polar_mult(1)
     hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
 
     ladder = [] if a is None else [a]

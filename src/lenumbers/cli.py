@@ -332,12 +332,7 @@ def _cmd_compute(args) -> int:
         _validate_singular(f)
         frame = _concrete_frame(args.frame, n1, seed, args.bound)
         s = local_dim(sigma_ideal(f))
-        vals = []
-        for j in range(1, max(s, 0) + 2):
-            try:
-                vals.append(polar_mult(f, frame, j))
-            except ValueError:
-                vals.append(None)
+        vals = [polar_mult(f, frame, j) for j in range(1, max(s, 0) + 2)]
         values["polar"] = vals
         values["s"] = s
         frame_obj = _frame_json(frame, seed if args.frame == "random" else None)

@@ -271,10 +271,10 @@ class LeRecord:
             return self.gam[0]
         return intersection_number(self.polar[0], [Polynomial.var_index(0, self.h.vars)])
 
-    def polar_mult(self, j: int) -> int:
+    def polar_mult(self, j: int) -> int | None:
         """mult Gamma^j at the origin for 1 <= j <= s+1, read off the stored
-        ideal; 0 when Gamma^j misses the origin, ValueError when it is not
-        j-dimensional there."""
+        ideal; 0 when Gamma^j misses the origin, None (undefined) when it is
+        not j-dimensional there."""
         return _cycle_mult(self.polar[j - 1], j)
 
 
@@ -362,15 +362,15 @@ def generic_le(
     )
 
 
-def _cycle_mult(P: Ideal, j: int) -> int:
+def _cycle_mult(P: Ideal, j: int) -> int | None:
     """Multiplicity at the origin of the j-dimensional cycle of P; 0 when it
-    misses the origin, ValueError when it has another dimension there.
-    The dimension comes from the Lazard basis hs_multiplicity reads next."""
+    misses the origin, None when it has another dimension there.  The
+    dimension comes from the Lazard basis hs_multiplicity reads next."""
     ld = lazard_local_dim(P)
     if ld == -1:
         return 0
     if ld != j:
-        raise ValueError(f"polar ideal is {ld}-dimensional, expected {j}")
+        return None
     return hs_multiplicity(P)
 
 
@@ -409,9 +409,9 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
     return lam0 == g1 + l1
 
 
-def polar_mult(f: Polynomial, frame: Frame, j: int) -> int:
+def polar_mult(f: Polynomial, frame: Frame, j: int) -> int | None:
     """Multiplicity at the origin of the polar cycle Gamma^j; 0 when it
-    misses the origin."""
+    misses the origin, None when it is not j-dimensional there."""
     return _cycle_mult(polar_ideal(f, frame, j), j)
 
 

@@ -19,13 +19,21 @@ unpack.  A reduction step checks that the bounding monomial of its reducer
 times the shift keeps every guard bit clear; when a field would overflow,
 the computation starts again with fields twice as wide, so no exponent is
 capped and no overflow passes silently.  Basis keeps exponent tuples for
-callers and packs its reducers once, for membership and normal forms.
+callers and packs its reducers once, for membership.
+
+Ideal.groebner also answers the local order, whose degree row is negative
+and so is never packed: Lazard's homogenization trick homogenizes each
+generator, runs the same kernel under the Lazard order (orders.LAZARD:
+total degree, then the new variable t, then the grevlex rows of the x
+part), which restricts to the local one, and sets t to 1.  The result is a
+standard basis of the localization at the origin, cached beside the global
+bases of the ideal.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
 Gebauer-Moeller form of the product and chain criteria.  Intersections and
-saturations by a principal ideal each take one auxiliary variable and a
-block elimination order; saturating by an ideal intersects the saturations
-by its generators.
+saturations by a principal ideal each add one auxiliary last variable t and
+eliminate it under a block order; saturating by an ideal intersects the
+saturations by its generators.
 
 The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
 tests/_oracles.py.
@@ -39,9 +47,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .orders import GREVLEX, MonomialOrder, Rows, elimination_order
+from .orders import GREVLEX, LAZARD, MonomialOrder, Rows, elimination_order
 from .poly import ExpVec, Polynomial
 
 IPoly = dict[ExpVec, int]
@@ -178,11 +186,9 @@ def _positive(d: PPoly) -> PPoly:
 # -- the Buchberger kernel, on packed monomials --------------------------------
 
 
-def _nf(h: PPoly, red: list[Reducer], pk: _Packing, want_scale=False):
-    """Fully reduced fraction-free normal form of h against red.
-
-    Returns the primitive remainder; with want_scale, also the positive
-    rational mu such that (remainder) == mu * h modulo the ideal of red.
+def _nf(h: PPoly, red: list[Reducer], pk: _Packing) -> PPoly:
+    """Fully reduced fraction-free normal form of h against red: the
+    primitive remainder, a positive multiple of h modulo the ideal of red.
 
     The working terms sit in a coefficient dict plus a lazy-deletion heap
     of negated monomials; every reduction only introduces monomials below
@@ -239,15 +245,7 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing, want_scale=False):
                 coeff = {k: v // g0 for k, v in coeff.items()}
                 G *= g0
     res: PPoly = {e: c * (F // f) * g0 for e, c, f, g0 in out}
-    scale = Fraction(F)
-    if res:
-        g0 = gcd(*res.values())
-        if g0 > 1:
-            res = {e: v // g0 for e, v in res.items()}
-            scale /= g0
-    if want_scale:
-        return res, scale
-    return res
+    return _strip(res)
 
 
 def _spoly(a: Reducer, b: Reducer, lcm: int, pk: _Packing) -> PPoly:
@@ -353,10 +351,22 @@ def _interreduce(polys: list[PPoly], G: list[Reducer], pk: _Packing) -> list[PPo
 
 def _groebner_ints(gens: list[IPoly], order: MonomialOrder) -> list[IPoly]:
     """Reduced Groebner basis of the integer polynomials gens under a global
-    order, each element primitive with a positive leading coefficient."""
+    order, each element primitive with a positive leading coefficient.
+
+    The local order is answered without Mora: homogenize each generator,
+    run the global engine under the Lazard order, set t = 1.  Mora
+    reduction swells badly on dense generators; the homogenized global
+    computation is far better behaved and Lazard's theorem makes its
+    dehomogenization a standard basis for the local order."""
     gens = [d for d in gens if d]
     if not gens:
         return []
+    if not order.is_global:
+        hgens = []
+        for d in gens:
+            deg = max(sum(e) for e in d)
+            hgens.append({e + (deg - sum(e),): c for e, c in d.items()})
+        return [{e[:-1]: c for e, c in d.items()} for d in _groebner_ints(hgens, LAZARD)]
     n = len(next(iter(gens[0])))
 
     def run(width: int) -> list[IPoly]:
@@ -399,38 +409,19 @@ class Basis:
     def leading_monomials(self) -> tuple[ExpVec, ...]:
         return tuple(lm for lm, _, _ in self._red)
 
-    def _nf(self, d: IPoly, want_scale=False):
+    def _nf(self, d: IPoly) -> IPoly:
         """_nf of d against the basis, through packed reducers that are
         built on first use and rebuilt wider when d needs it."""
 
-        def run(width: int):
+        def run(width: int) -> IPoly:
             if self._packed is None or self._packed[0].width < width:
                 ints = [g for _, _, g in self._red]
                 pk = _packing(self.order, len(self.vars), max(width, _width(ints)))
                 self._packed = pk, [pk.reducer(pk.pack_poly(g)) for g in ints]
             pk, red = self._packed
-            r = _nf(pk.pack_poly(d), red, pk, want_scale)
-            if want_scale:
-                return pk.unpack_poly(r[0]), r[1]
-            return pk.unpack_poly(r)
+            return pk.unpack_poly(_nf(pk.pack_poly(d), red, pk))
 
         return _widening(_width([d]), run)
-
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        """Canonical remainder of p modulo the basis (linear in p)."""
-        if not self.order.is_global:
-            raise ValueError("full reduction needs a global order")
-        if p.vars != self.vars:
-            raise ValueError("variable mismatch")
-        if p.is_zero:
-            return p
-        keyf = self.order.key(len(self.vars))
-        d = _to_int(p)
-        # p == (c/den) * d for the primitive d; recover the true scalar
-        lm = max(d, key=keyf)
-        factor = p.terms[lm] / Fraction(d[lm])
-        r, mu = self._nf(d, want_scale=True)
-        return Polynomial(self.vars, {e: factor * Fraction(v) / mu for e, v in r.items()})
 
     def contains(self, p: Polynomial) -> bool:
         if not self.order.is_global:
@@ -476,8 +467,8 @@ class Ideal:
         return not self.gens
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> Basis:
-        if not order.is_global:
-            raise ValueError("use local_standard_basis for local orders")
+        """The reduced Groebner basis of the ideal under order, or its
+        standard basis under the local order; computed once per order."""
         with self._lock:
             basis = self._cache.get(order)
         if basis is not None:
@@ -498,48 +489,34 @@ class Ideal:
 # -- ring plumbing ---------------------------------------------------------
 
 
-def _aux_name(vars: tuple[str, ...]) -> str:
-    base = "t"
-    if base not in vars:
-        return base
+def _aux_ring(vars: tuple[str, ...]) -> tuple[Polynomial, Callable[[Polynomial], Polynomial]]:
+    """(t, ext): the auxiliary variable t of the ring vars + (t,), where t
+    is named apart from vars, and the map of a polynomial into that ring."""
+    aux = "t"
     k = 0
-    while f"t{k}" in vars:
+    while aux in vars:
+        aux = f"t{k}"
         k += 1
-    return f"t{k}"
+    ext_vars = vars + (aux,)
+
+    def ext(p: Polynomial) -> Polynomial:
+        return Polynomial(ext_vars, {e + (0,): c for e, c in p.terms.items()})
+
+    return Polynomial.var_index(len(vars), ext_vars), ext
 
 
-def _extend(p: Polynomial, new_vars: tuple[str, ...]) -> Polynomial:
-    """Reinterpret p in a ring with one extra last variable."""
-    return Polynomial(new_vars, {e + (0,): c for e, c in p.terms.items()})
-
-
-def eliminate(I: Ideal, drop) -> Ideal:
-    """Intersection of I with the subring omitting the given variables."""
-    if not drop:
-        return I
-    idxs = tuple(
-        sorted({d if isinstance(d, int) else I.vars.index(d) for d in drop})
-    )
-    for i in idxs:
-        if not 0 <= i < len(I.vars):
-            raise ValueError(f"bad variable index {i}")
-    if len(idxs) == len(I.vars):
-        raise ValueError("cannot eliminate every variable")
-    basis = I.groebner(elimination_order(idxs))
-    keep_vars = tuple(v for i, v in enumerate(I.vars) if i not in idxs)
-    kept = []
-    for p in basis:
-        if all(all(e[i] == 0 for i in idxs) for e in p.terms):
-            kept.append(
-                Polynomial(
-                    keep_vars,
-                    {
-                        tuple(x for i, x in enumerate(e) if i not in idxs): c
-                        for e, c in p.terms.items()
-                    },
-                )
-            )
-    return Ideal(kept, vars=keep_vars)
+def _eliminate_t(gens: list[Polynomial], t: Polynomial) -> Ideal:
+    """The ideal of gens, which live in the ring of t, intersected with the
+    ring of the other variables: t is the last variable."""
+    ext_vars = t.vars
+    vars = ext_vars[:-1]
+    basis = Ideal(gens, vars=ext_vars).groebner(elimination_order((len(vars),)))
+    kept = [
+        Polynomial(vars, {e[:-1]: c for e, c in p.terms.items()})
+        for p in basis
+        if all(e[-1] == 0 for e in p.terms)
+    ]
+    return Ideal(kept, vars=vars)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -548,26 +525,18 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("variable mismatch")
     if I.is_zero or J.is_zero:
         return Ideal((), vars=I.vars)
-    aux = _aux_name(I.vars)
-    ext_vars = I.vars + (aux,)
-    t = Polynomial.var_index(len(I.vars), ext_vars)
-    one = Polynomial.constant(1, ext_vars)
-    gens = [t * _extend(g, ext_vars) for g in I.gens]
-    gens += [(one - t) * _extend(g, ext_vars) for g in J.gens]
-    return eliminate(Ideal(gens, vars=ext_vars), (len(I.vars),))
+    t, ext = _aux_ring(I.vars)
+    gens = [t * ext(g) for g in I.gens]
+    gens += [(1 - t) * ext(g) for g in J.gens]
+    return _eliminate_t(gens, t)
 
 
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity as (I + (1 - t*g)) meet k[x]."""
     if g.is_zero:
         raise ValueError("cannot saturate by the zero polynomial")
-    aux = _aux_name(I.vars)
-    ext_vars = I.vars + (aux,)
-    t = Polynomial.var_index(len(I.vars), ext_vars)
-    one = Polynomial.constant(1, ext_vars)
-    gens = [_extend(p, ext_vars) for p in I.gens]
-    gens.append(one - t * _extend(g, ext_vars))
-    return eliminate(Ideal(gens, vars=ext_vars), (len(I.vars),))
+    t, ext = _aux_ring(I.vars)
+    return _eliminate_t([*map(ext, I.gens), 1 - t * ext(g)], t)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
@@ -592,16 +561,10 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
 
 
 def radical_member(g: Polynomial, I: Ideal) -> bool:
-    """Whether g vanishes on V(I) (Rabinowitsch trick)."""
+    """Whether g vanishes on V(I): g is zero, or lies in I, or I : g^infinity
+    is the unit ideal (Rabinowitsch trick)."""
     if g.vars != I.vars:
         raise ValueError("variable mismatch")
-    if g.is_zero:
+    if g.is_zero or (not I.is_zero and I.contains(g)):
         return True
-    if not I.is_zero and I.contains(g):
-        return True
-    aux = _aux_name(I.vars)
-    ext_vars = I.vars + (aux,)
-    t = Polynomial.var_index(len(I.vars), ext_vars)
-    gens = [_extend(p, ext_vars) for p in I.gens]
-    gens.append(Polynomial.constant(1, ext_vars) - t * _extend(g, ext_vars))
-    return Ideal(gens, vars=ext_vars).groebner().contains_unit()
+    return _saturate_principal(I, g).groebner().contains_unit()

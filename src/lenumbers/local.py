@@ -1,15 +1,12 @@
 """Local computations at the origin: standard bases, dimensions, colengths.
 
-Standard bases for the degree-first local order are computed by Lazard's
-homogenization trick: homogenize each generator, run the global engine under
-the Lazard order (orders.LAZARD: total degree, then the new variable t, then
-the grevlex rows of the x part), which restricts to the local one, and set
-t to 1.  That run goes through the same packed-monomial Buchberger kernel as
-every global basis (groebner.py); the local order itself is never packed,
-since its degree row is negative, and the bases here keep exponent tuples.
-Dimension, colength and multiplicity of the local ring are read off the
-Hilbert series of the leading ideal, whose numerator we compute by the usual
-pivot recursion N(I) = N(I + (x)) + T*N(I : x).
+Standard bases for the degree-first local order come from
+Ideal.groebner(LOCAL), which computes them by Lazard's homogenization trick
+in the same packed-monomial Buchberger kernel as every global basis and
+caches them beside those (groebner.py).  Dimension, colength and
+multiplicity, of the local ring as of the global quotient, are read off the
+Hilbert series of a leading ideal (_hilbert), whose numerator we compute by
+the usual pivot recursion N(I) = N(I + (x)) + T*N(I : x).
 
 local_dim asks Lazard only when V(I) has a component of dimension two or
 more somewhere.  D, the dimension of V(I), is read off the grevlex leading
@@ -46,44 +43,14 @@ from __future__ import annotations
 
 from itertools import count
 
-from .groebner import (
-    Basis,
-    Ideal,
-    IPoly,
-    _divides,
-    _groebner_ints,
-    _saturate_principal,
-    _to_int,
-)
-from .orders import GREVLEX, LAZARD, LOCAL, ExpVec
+from .groebner import Basis, Ideal, _divides, _saturate_principal
+from .orders import GREVLEX, LOCAL, ExpVec
 from .poly import Polynomial
-
-
-def _lazard_standard_ints(gens: list[IPoly]) -> list[IPoly]:
-    """Standard basis leading data without Mora: homogenize each generator,
-    run the global engine under the Lazard order, set t = 1.
-
-    Mora reduction swells badly on dense generators; the homogenized global
-    computation is far better behaved and Lazard's theorem makes its
-    dehomogenization a standard basis for the local order."""
-    hgens = []
-    for d in gens:
-        deg = max(sum(e) for e in d)
-        hgens.append({e + (deg - sum(e),): c for e, c in d.items()})
-    return [{e[:-1]: c for e, c in d.items()} for d in _groebner_ints(hgens, LAZARD)]
 
 
 def local_standard_basis(I: Ideal) -> Basis:
     """Standard basis of I for the local order, cached on the ideal."""
-    with I._lock:
-        cached = I._cache.get(LOCAL)
-    if cached is not None:
-        return cached
-    ints = _lazard_standard_ints([_to_int(g) for g in I.gens if not g.is_zero])
-    basis = Basis(I.vars, LOCAL, ints)
-    with I._lock:
-        I._cache.setdefault(LOCAL, basis)
-    return basis
+    return I.groebner(LOCAL)
 
 
 # -- Hilbert series of a monomial ideal ------------------------------------
@@ -148,12 +115,17 @@ def hilbert_numerator(lms, nvars: int) -> tuple[int, ...]:
     return rec(_minimalize(frozenset(lms)))
 
 
-def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Write N(T) = (1-T)^c * Q(T) with Q(1) != 0; returns (c, Q)."""
-    if not any(coeffs):
-        raise ValueError("zero numerator has no well-defined factorization")
+def _hilbert(basis: Basis) -> tuple[int, tuple[int, ...]] | None:
+    """(c, Q) with N(T) = (1-T)^c * Q(T) and Q(1) != 0, where N is the
+    Hilbert numerator of the leading ideal of basis; None for the unit
+    ideal.  n - c is the dimension of the quotient (of the local ring at the
+    origin, for a local basis), and for c = n, Q(1) is its colength; for a
+    local basis, Q(1) is the Hilbert-Samuel multiplicity."""
+    lms = basis.leading_monomials()
+    if any(sum(lm) == 0 for lm in lms):
+        return None
+    cur = list(hilbert_numerator(lms, len(basis.vars)))
     c = 0
-    cur = list(coeffs)
     while sum(cur) == 0:
         # synthetic division by (1 - T): q_i = sum of cur[0..i]
         acc = 0
@@ -161,31 +133,27 @@ def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         for v in cur[:-1]:
             acc += v
             q.append(acc)
-        cur = q if q else [0]
+        cur = q
         c += 1
     return c, tuple(cur)
+
+
+def _colength(basis: Basis) -> int | None:
+    """Vector space dimension of the quotient by the ideal of basis, read
+    off _hilbert; None when it is infinite."""
+    hilb = _hilbert(basis)
+    if hilb is None:
+        return 0
+    c, q = hilb
+    return None if c < len(basis.vars) else sum(q)
 
 
 def lazard_local_dim(I: Ideal) -> int:
     """local_dim read off the Lazard standard basis of I, for any I.  The
     multiplicity callers use it directly: hs_multiplicity reads the same
     basis next."""
-    basis = local_standard_basis(I)
-    lms = [lm for lm, _, _ in basis._red]
-    if any(sum(lm) == 0 for lm in lms):
-        return -1
-    n = len(I.vars)
-    c, _ = _strip_one_minus_t(hilbert_numerator(lms, n))
-    return n - c
-
-
-def _global_hilbert(I: Ideal) -> tuple[int, tuple[int, ...]] | None:
-    """(c, Q) with N(T) = (1-T)^c * Q(T) the Hilbert numerator of I's
-    grevlex leading ideal; None for the unit ideal."""
-    lms = I.groebner(GREVLEX).leading_monomials()
-    if any(sum(lm) == 0 for lm in lms):
-        return None
-    return _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
+    hilb = _hilbert(local_standard_basis(I))
+    return -1 if hilb is None else len(I.vars) - hilb[0]
 
 
 def origin_on(I: Ideal) -> bool:
@@ -212,7 +180,7 @@ def local_dim(I: Ideal) -> int:
         return -1
     n = len(I.vars)
     # not the unit ideal: the origin is on V(I)
-    c, _ = _global_hilbert(I)
+    c, _ = _hilbert(I.groebner(GREVLEX))
     D = n - c
     if D >= 2:
         return lazard_local_dim(I)
@@ -224,27 +192,7 @@ def local_dim(I: Ideal) -> int:
 
 def local_quotient_dim(I: Ideal) -> int | None:
     """Vector space dimension of O/I at the origin; None when infinite."""
-    basis = local_standard_basis(I)
-    lms = [lm for lm, _, _ in basis._red]
-    if any(sum(lm) == 0 for lm in lms):
-        return 0
-    n = len(I.vars)
-    c, q = _strip_one_minus_t(hilbert_numerator(lms, n))
-    if c < n:
-        return None
-    return sum(q)
-
-
-def _global_colength(I: Ideal) -> int | None:
-    """Vector space dimension of k[x]/I, read off the grevlex leading ideal;
-    None when I is not zero-dimensional."""
-    hilb = _global_hilbert(I)
-    if hilb is None:
-        return 0
-    c, q = hilb
-    if c < len(I.vars):
-        return None
-    return sum(q)
+    return _colength(local_standard_basis(I))
 
 
 # The origin-only test x_i^N in I reduces powers of degree N, at a cost
@@ -281,28 +229,26 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     a form that fails the certificate is replaced by the next.  Saturating
     by a certified g removes exactly the factor A_0, so the answer is
     N - colength(I : g^infinity)."""
-    N = _global_colength(I)
+    basis = I.groebner(GREVLEX)
+    N = _colength(basis)
     if N is None or N == 0:
         return N
-    basis = I.groebner(GREVLEX)
     xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
     if N <= _SHORTCUT_MAX and all(basis.contains(x**N) for x in xs):
         return N
     K = Ideal(basis.elements, vars=I.vars)
     for g in _ladder(I.vars):
-        Kg = Ideal([*basis.elements, g], vars=I.vars)
-        N2 = _global_colength(Kg)
+        Kg = Ideal([*basis.elements, g], vars=I.vars).groebner(GREVLEX)
+        N2 = _colength(Kg)
         if N2 == 0:
             return 0
-        if all(Kg.groebner(GREVLEX).contains(x**N2) for x in xs):
-            return N - _global_colength(_saturate_principal(K, g))
+        if all(Kg.contains(x**N2) for x in xs):
+            return N - _colength(_saturate_principal(K, g).groebner(GREVLEX))
 
 
 def hs_multiplicity(I: Ideal) -> int:
     """Hilbert-Samuel multiplicity of the local ring at the origin."""
-    basis = local_standard_basis(I)
-    lms = [lm for lm, _, _ in basis._red]
-    if any(sum(lm) == 0 for lm in lms):
+    hilb = _hilbert(local_standard_basis(I))
+    if hilb is None:
         raise ValueError("origin does not lie on the variety")
-    _, q = _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
-    return sum(q)
+    return sum(hilb[1])

@@ -38,8 +38,12 @@ def sectional(f: Polynomial, k: int, seed: int = 0) -> int | None:
     Two independent random planes per round must agree; otherwise the bound
     doubles, and after the last round the smallest defined value wins (a
     special plane can only overshoot).  A plane inside V(f) counts as
-    undefined, like one whose section is not isolated.  None when no sampled
-    section had an isolated singularity."""
+    undefined, like one whose section is not isolated, and so does a plane
+    whose section has a larger multiplicity than f: the lowest-degree form
+    of f vanishes on that plane, which a generic plane avoids.  Two draws
+    may agree on such a plane (both tangent to the cone of f), so it is not
+    left to the comparison.  None when no sampled section had an isolated
+    singularity."""
     n1 = len(f.vars)
     if not 0 <= k <= n1:
         raise ValueError(f"need 0 <= k <= {n1}")
@@ -48,9 +52,11 @@ def sectional(f: Polynomial, k: int, seed: int = 0) -> int | None:
     if k == n1:
         return milnor(f)
 
+    mult = f.mult_origin()
+
     def draw(round_: int, i: int, bound: int) -> int | None:
         g = restrict(f, k, seed=_section_seed(seed, k, round_, i), bound=bound)
-        return None if g.is_zero else milnor(g)
+        return None if g.is_zero or g.mult_origin() > mult else milnor(g)
 
     best = None
     bound = 10

@@ -12,7 +12,8 @@ chosen so that this tuple determines e, which makes the order total:
   those of the other variables;
 - the Lazard order on k[x, t] (t the last variable): total degree, then t,
   then the grevlex rows of the x part; setting t = 1 turns it into the
-  local order, which is how local.py computes standard bases;
+  local order, which is how Ideal.groebner (groebner.py) computes
+  standard bases;
 - the local order: the grevlex rows with the degree row negated, so 1 is
   the largest monomial.
 

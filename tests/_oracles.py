@@ -44,9 +44,8 @@ from lenumbers.groebner import (
     saturate,
 )
 from lenumbers.local import (
+    _colength,
     _minimalize,
-    _strip_one_minus_t,
-    hilbert_numerator,
     hs_multiplicity,
     lazard_local_dim,
     local_dim,
@@ -222,13 +221,7 @@ def mora_quotient_dim(I: Ideal) -> int | None:
     homogenization route; an independent cross-check, not a fast path."""
     keyf = LOCAL.key(len(I.vars))
     ints = _standard_basis_ints([_to_int(g) for g in I.gens if not g.is_zero], keyf)
-    lms = [max(d, key=keyf) for d in ints]
-    if any(sum(lm) == 0 for lm in lms):
-        return 0
-    c, q = _strip_one_minus_t(hilbert_numerator(lms, len(I.vars)))
-    if c < len(I.vars):
-        return None
-    return sum(q)
+    return _colength(Basis(I.vars, LOCAL, ints))
 
 
 # -- colength counts ------------------------------------------------------

@@ -17,11 +17,11 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def test_corpus_sweep_runs_clean():
+def _runs_clean(workload):
     budget = 120
     t0 = perf_counter()
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "corpus_sweep",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=budget,
     )
@@ -31,6 +31,18 @@ def test_corpus_sweep_runs_clean():
     assert result["correct"], done.stderr
     assert result["failed"] == 0, done.stderr
     assert result["attempted"] > 0
+
+
+def test_corpus_sweep_runs_clean():
+    _runs_clean("corpus_sweep")
+
+
+def test_surface_recursion_runs_clean():
+    _runs_clean("surface_recursion")
+
+
+def test_leiom_transform_runs_clean():
+    _runs_clean("leiom_transform")
 
 
 def test_tracer_wraps_every_traced_function():

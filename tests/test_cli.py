@@ -130,6 +130,17 @@ def test_check_mainone_text(capsys):
     assert "lhs = 11/4, rhs = 2, holds" in out
 
 
+def test_teissier_skips_draws_on_the_tangent_cone(capsys):
+    # both round-0 lines restrict the shear germ to -x^3: each is the
+    # tangent line y = -x, where the section's multiplicity exceeds 2
+    code, out, _ = run(
+        capsys, "check", "teissier", "-f", "x^2+2*x*y+y^2+y^3", "--vars", "x,y",
+        "--seed", "1821",
+    )
+    assert code == 0
+    assert out == "teissier: lhs = 2, rhs = 1, holds\n  profile=(1, 1, 2)\n"
+
+
 def test_unknown_checker_is_input_error(capsys):
     code, _, err = run(capsys, "check", "nope", *BN0_ARGS)
     assert code == 1

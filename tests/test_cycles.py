@@ -201,13 +201,8 @@ def test_le_record_carries_its_germ_and_polar_varieties(member):
         assert rec.h == apply_frame(f, frame)
         assert len(rec.polar) == rec.s + 1
         for j in range(1, rec.s + 2):
-            try:
-                want = polar_mult(f, frame, j)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    rec.polar_mult(j)
-            else:
-                assert rec.polar_mult(j) == want, (frame, j)
+            # None on both routes when Gamma^j is not j-dimensional
+            assert rec.polar_mult(j) == polar_mult(f, frame, j), (frame, j)
         z0 = Polynomial.var_index(0, f.vars)
         assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), [z0])
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenumbers.groebner import Ideal, _nf, _Overflow, _packing
+from lenumbers.groebner import Ideal, _nf, _Overflow, _packing, _to_int
 from lenumbers.orders import GREVLEX, LAZARD, LEX, elimination_order
 from lenumbers.poly import parse
 
@@ -87,6 +87,6 @@ def test_bases_and_reductions_widen_their_fields():
     assert set(B) == {parse("x - y^1000", XY), parse("y^64000", XY)}
     # reducing x^1000 against x - y^1000 reaches y^1000000
     B = Ideal([parse("x - y^1000", XY)]).groebner(LEX)
-    assert B.normal_form(parse("x^1000", XY)) == parse("y^1000000", XY)
+    assert B._nf(_to_int(parse("x^1000", XY))) == {(0, 1000000): 1}
     assert B.contains(parse("x^1000 - y^1000000", XY))
     assert not B.contains(parse("x^1000 - y^999999", XY))
