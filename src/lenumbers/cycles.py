@@ -37,10 +37,21 @@ slice h|V(z0).  A LeRecord carries the reframed h and the polar ideals
 Gamma^1..Gamma^{s+1} that its cycle recursion built, so gamma^1 and
 mult Gamma^j are read off the record (LeRecord.gamma1, LeRecord.polar_mult)
 and no polar variety of it is saturated twice.
+
+generic_le's frame trials share nothing, so each round runs them at once:
+the caller computes one, and forked worker processes (_Worker), started on
+first use and kept until exit, compute the others and send their records
+back whole as pickles.  The records are compared in trial order, so the
+answer is the serial loop's to the last polar generator.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -335,12 +346,178 @@ def lambda_numbers(
     )
 
 
+class _Worker:
+    """A forked process that runs lambda_numbers for its parent.  Each task
+    and each reply is one pickle on the worker's own pipe pair.  The parent
+    keeps at most one task outstanding and reads its reply before sending
+    the next, so a write that fills a pipe always has a reader coming."""
+
+    __slots__ = ("pid", "tasks", "replies")
+
+    def __init__(self):
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        task_r, task_w, reply_r, reply_w = fds
+        if pid == 0:
+            try:
+                os.close(task_w)
+                os.close(reply_r)
+                _serve(os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(task_r)
+        os.close(reply_w)
+        self.pid = pid
+        self.tasks = os.fdopen(task_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+
+    def send(self, task) -> bool:
+        """False when the worker is gone (its end of the pipe is closed)."""
+        try:
+            pickle.dump(task, self.tasks, pickle.HIGHEST_PROTOCOL)
+            self.tasks.flush()
+            return True
+        except OSError:
+            return False
+
+    def receive(self):
+        """The LeRecord or the exception the task gave; None when the worker
+        died or could not pickle its answer.  Any reply that cannot be read
+        is None too: the caller then computes the trial itself, which gives
+        the serial answer whatever went wrong."""
+        try:
+            return pickle.load(self.replies)
+        except Exception:
+            return None
+
+
+# the workers of this process; started on first use, kept until exit
+_POOL: list[_Worker] = []
+_IN_WORKER = False
+
+
+def _serve(tasks, replies) -> None:
+    """A worker's loop: answer (f, frame, s) with lambda_numbers(f, frame,
+    s=s), or with the exception it raised, until the parent closes the
+    task pipe."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    # the parent's ends of the pipes of its earlier workers
+    for w in _POOL:
+        w.tasks.close()
+        w.replies.close()
+    _POOL.clear()
+    while True:
+        try:
+            f, frame, s = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            data = pickle.dumps(_attempt(f, frame, s), pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            data = pickle.dumps(None)
+        replies.write(data)
+        replies.flush()
+
+
+def _pool_size(trials: int) -> int:
+    """Workers for a round of trials: min(trials - 1, usable CPUs), and 0
+    without os.fork, with one usable CPU, or inside a worker."""
+    if _IN_WORKER or not hasattr(os, "fork"):
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(trials - 1, cpus) if cpus >= 2 else 0
+
+
+def _workers(k: int) -> list[_Worker]:
+    """Up to k workers of the pool, forking the missing ones; fewer when
+    the system has no process or descriptor to spare."""
+    while len(_POOL) < k:
+        # one exit hook, however often the pool is dropped and refilled
+        atexit.unregister(_drop_pool)
+        atexit.register(_drop_pool)
+        try:
+            _POOL.append(_Worker())
+        except OSError:
+            break
+    return _POOL[:k]
+
+
+def _drop_pool() -> None:
+    """Close the pipes of every worker, stop it and reap it."""
+    while _POOL:
+        w = _POOL.pop()
+        for pipe in (w.tasks, w.replies):
+            with contextlib.suppress(OSError):
+                pipe.close()
+        with contextlib.suppress(OSError):
+            os.kill(w.pid, signal.SIGKILL)
+            os.waitpid(w.pid, 0)
+
+
+def _attempt(f: Polynomial, frame: Frame, s: int):
+    """lambda_numbers(f, frame, s=s), or the exception it raised."""
+    try:
+        return lambda_numbers(f, frame, s=s)
+    except Exception as exc:
+        return exc
+
+
+def _lambda_trials(f: Polynomial, frames: Sequence[Frame], s: int) -> list[LeRecord]:
+    """lambda_numbers(f, frame, s=s) for each frame, in frame order.
+
+    The frames go in batches of one per worker plus one: the workers take
+    the first ones and the caller computes the last.  Whatever raised first
+    in frame order is raised, as a serial loop would raise it.  A worker
+    that dies or cannot send its answer has its frame recomputed by the
+    caller, and the pool is dropped; the next batch forks fresh workers.
+    A batch is smaller when fewer workers could be forked: with none, the
+    caller computes every frame."""
+    k = _pool_size(len(frames))
+    out: list[LeRecord] = []
+    while len(out) < len(frames):
+        lo = len(out)
+        workers = _workers(min(k, len(frames) - lo - 1))
+        batch = frames[lo : lo + len(workers) + 1]
+        try:
+            sent = [w.send((f, frame, s)) for w, frame in zip(workers, batch)]
+            last = _attempt(f, batch[-1], s)
+            got = [w.receive() if ok else None for w, ok in zip(workers, sent)]
+        except BaseException:
+            # a task may still be outstanding: no later batch may read its reply
+            _drop_pool()
+            raise
+        if None in got:
+            _drop_pool()
+        got = [_attempt(f, fr, s) if r is None else r for fr, r in zip(batch, got)]
+        for r in got + [last]:
+            if isinstance(r, Exception):
+                raise r
+            out.append(r)
+    return out
+
+
 def generic_le(
     f: Polynomial, seed: int = 0, trials: int = 3, bound: int = 10
 ) -> LeRecord:
     """Generic Le numbers: lexicographic minimum (lambda^s first, relative
     polar numbers as tie-break) over random frames, the coefficient bound
-    doubling when every frame in a round comes out undefined."""
+    doubling when every frame in a round comes out undefined.
+
+    The frames of a round are computed at once, in up to min(trials - 1,
+    usable CPUs) forked worker processes and the caller (_lambda_trials),
+    and compared in trial order, so ties keep the earliest frame and the
+    record is the one a serial loop returns, h and polar included."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _validate_singular(f)
@@ -349,9 +526,11 @@ def generic_le(
     best = None
     b = bound
     for round_ in range(5):
-        for t in range(trials):
-            fseed = seed * 1000003 + round_ * trials + t
-            rec = lambda_numbers(f, Frame.random(n1, fseed, b), s=s)
+        frames = [
+            Frame.random(n1, seed * 1000003 + round_ * trials + t, b)
+            for t in range(trials)
+        ]
+        for rec in _lambda_trials(f, frames, s):
             if rec.fully_defined and (best is None or rec.lex_key() < best.lex_key()):
                 best = rec
         if best is not None:

@@ -462,6 +462,10 @@ class Ideal:
         self._cache: dict[MonomialOrder, Basis] = {}
         self._lock = threading.Lock()
 
+    def __reduce__(self):
+        # a lock does not pickle; the copy computes its own bases
+        return (Ideal, (self.gens, self.vars))
+
     @property
     def is_zero(self) -> bool:
         return not self.gens

@@ -25,6 +25,9 @@ evidence:
   those and f's own partials are the smaller and carries the result
   through the frame.  polar_curve_mult reads mult Gamma^1 off it, where
   the library reads it off the Gamma^1 its Le record holds.
+- serial_generic_le runs the frame trials of generic_le one after another
+  in this process, where the library hands all but one of each round's
+  trials to forked workers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
+from lenumbers.cycles import LeRecord, _validate_singular, lambda_numbers, sigma_ideal
 from lenumbers.groebner import (
     Basis,
     Ideal,
@@ -380,3 +384,32 @@ def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
     if ld != 1:
         raise ValueError(f"polar ideal is {ld}-dimensional, expected a curve")
     return hs_multiplicity(P)
+
+
+# -- generic frames -----------------------------------------------------------
+
+
+def serial_generic_le(
+    f: Polynomial, seed: int = 0, trials: int = 3, bound: int = 10
+) -> LeRecord:
+    """generic_le with its frame trials run one after another in this
+    process: the loop generic_le ran before it used worker processes."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _validate_singular(f)
+    n1 = len(f.vars)
+    s = local_dim(sigma_ideal(f))
+    best = None
+    b = bound
+    for round_ in range(5):
+        for t in range(trials):
+            fseed = seed * 1000003 + round_ * trials + t
+            rec = lambda_numbers(f, Frame.random(n1, fseed, b), s=s)
+            if rec.fully_defined and (best is None or rec.lex_key() < best.lex_key()):
+                best = rec
+        if best is not None:
+            return best
+        b *= 2
+    raise RuntimeError(
+        "no frame gave defined Le numbers; raise the coefficient bound or trials"
+    )
