@@ -400,15 +400,12 @@ class _Worker:
 
 # the workers of this process; started on first use, kept until exit
 _POOL: list[_Worker] = []
-_IN_WORKER = False
 
 
 def _serve(tasks, replies) -> None:
     """A worker's loop: answer (f, frame, s) with lambda_numbers(f, frame,
     s=s), or with the exception it raised, until the parent closes the
     task pipe."""
-    global _IN_WORKER
-    _IN_WORKER = True
     # the parent's ends of the pipes of its earlier workers
     for w in _POOL:
         w.tasks.close()
@@ -429,8 +426,8 @@ def _serve(tasks, replies) -> None:
 
 def _pool_size(trials: int) -> int:
     """Workers for a round of trials: min(trials - 1, usable CPUs), and 0
-    without os.fork, with one usable CPU, or inside a worker."""
-    if _IN_WORKER or not hasattr(os, "fork"):
+    without os.fork or with one usable CPU."""
+    if not hasattr(os, "fork"):
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -214,7 +214,7 @@ def test_le_record_repr_and_equality_leave_out_the_germ():
     assert lambda_numbers(BN0, frame) == rec
 
 
-def test_newmpr_saturates_no_polar_variety(monkeypatch):
+def test_newmpr_saturates_no_polar_variety(monkeypatch, serial_trials):
     # an s = 0 plane curve: the Le recursion keeps its principal Gamma^1 as it
     # is, and the checker reads gamma^1 and mult Gamma^1 off that ideal
     polar = []
@@ -231,7 +231,7 @@ def test_newmpr_saturates_no_polar_variety(monkeypatch):
     assert polar == []
 
 
-def test_checkers_read_the_polar_varieties_off_the_record(monkeypatch):
+def test_checkers_read_the_polar_varieties_off_the_record(monkeypatch, serial_trials):
     def refuse(*args):
         raise AssertionError("polar ideal rebuilt")
 

@@ -176,3 +176,18 @@ def test_failed_fork_changes_no_answer(monkeypatch):
     assert cycles._POOL == []
     # the pipes made for the workers that were never forked are closed
     assert lowest_free_fds() == free
+
+
+def test_serial_trials_runs_every_frame_in_the_caller(monkeypatch, serial_trials):
+    # spies on code under lambda_numbers rely on this fixture to see every frame
+    frames = []
+    attempt = cycles.lambda_numbers
+
+    def counting(f, frame, s=None):
+        frames.append(frame)
+        return attempt(f, frame, s=s)
+
+    monkeypatch.setattr(cycles, "lambda_numbers", counting)
+    generic_le(BN0, seed=0, trials=3)
+    assert len(frames) == 3
+    assert cycles._POOL == []
