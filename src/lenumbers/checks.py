@@ -22,7 +22,7 @@ from .cycles import (
     germ_subset,
     lambda_numbers,
     mpr_bounds,
-    mpr_exact,
+    polar_ratios,
     sigma_ideal,
     slice_lam0,
     why_not_singular,
@@ -63,12 +63,16 @@ def _rep(name: str, lhs, rhs, holds: bool, **ctx) -> IneqReport:
 
 
 def _le_record(f, frame, seed, trials, bound):
-    """(record, generic flag); record is None when no frame worked."""
+    """(record, generic flag); record is None when f is not singular at the
+    origin or no frame gave defined Le numbers.  Every other error of
+    generic_le, a bad trials or bound among them, propagates."""
     if frame is not None:
         return lambda_numbers(f, frame), False
+    if why_not_singular(f) is not None:
+        return None, True
     try:
         return generic_le(f, seed=seed, trials=trials, bound=bound), True
-    except (ValueError, RuntimeError):
+    except RuntimeError:
         return None, True
 
 
@@ -539,7 +543,10 @@ def check_newmpr_and_easybound(
         return [_skip("newmpr", "lambda^0 undefined for this frame")]
     mult = f.mult_origin()
     mb = mpr_bounds(f, rec.frame, rec)
-    exact = mpr_exact(f, rec.frame, components) if components is not None else None
+    exact = None
+    if components is not None:
+        # the maximum polar ratio; 1 when the polar curve is empty
+        exact = max(polar_ratios(f, rec.frame, components), default=Fraction(1))
     base = exact if exact is not None else Fraction(mb.lower)
     ctx = dict(
         lower=mb.lower,

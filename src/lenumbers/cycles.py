@@ -201,7 +201,7 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     cur_vars = I.vars
     work = list(forms)
 
-    def take(step: int, form: Polynomial) -> bool:
+    def take(step: int, form: Polynomial):
         """Slice by one form, by substitution when it is a coordinate."""
         nonlocal gens, cur_vars
         i = _coordinate_index(form)
@@ -213,7 +213,6 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
             cur_vars = cur_vars[:i] + cur_vars[i + 1 :]
         else:
             gens = gens + [form]
-        return True
 
     for step in range(d):
         form = work[step]
@@ -661,14 +660,6 @@ def polar_ratios(
             raise ValueError("component meets V(df/dz0) improperly")
         ratios.append(Fraction(a, b) + 1)
     return tuple(ratios)
-
-
-def mpr_exact(
-    f: Polynomial, frame: Frame, components: Sequence[tuple[Ideal, int]]
-) -> Fraction:
-    """Maximum polar ratio from a supplied component decomposition of the
-    polar curve; 1 when the curve is empty."""
-    return max(polar_ratios(f, frame, components), default=Fraction(1))
 
 
 def germ_subset(I: Ideal, J: Ideal) -> bool:

@@ -31,9 +31,12 @@ bases of the ideal.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
 Gebauer-Moeller form of the product and chain criteria.  Intersections and
-saturations by a principal ideal each add one auxiliary last variable t and
-eliminate it under a block order; saturating by an ideal intersects the
-saturations by its generators.
+saturations by a principal ideal run on the kernel's integer form: each
+generator of t*I + (1 - t)*J, or of I + (1 - t*g), is built as a primitive
+integer polynomial whose one extra last exponent is t, the kernel eliminates
+t under a block order, and only the t-free elements come back, as monic
+polynomials in the original variables.  Saturating by an ideal intersects
+the saturations by its generators.
 
 The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
 tests/_oracles.py.
@@ -47,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .orders import GREVLEX, LAZARD, MonomialOrder, Rows, elimination_order
 from .poly import ExpVec, Polynomial
@@ -490,57 +493,48 @@ class Ideal:
         return f"Ideal([{', '.join(str(g) for g in self.gens)}])"
 
 
-# -- ring plumbing ---------------------------------------------------------
+# -- eliminations -----------------------------------------------------------
 
 
-def _aux_ring(vars: tuple[str, ...]) -> tuple[Polynomial, Callable[[Polynomial], Polynomial]]:
-    """(t, ext): the auxiliary variable t of the ring vars + (t,), where t
-    is named apart from vars, and the map of a polynomial into that ring."""
-    aux = "t"
-    k = 0
-    while aux in vars:
-        aux = f"t{k}"
-        k += 1
-    ext_vars = vars + (aux,)
-
-    def ext(p: Polynomial) -> Polynomial:
-        return Polynomial(ext_vars, {e + (0,): c for e, c in p.terms.items()})
-
-    return Polynomial.var_index(len(vars), ext_vars), ext
-
-
-def _eliminate_t(gens: list[Polynomial], t: Polynomial) -> Ideal:
-    """The ideal of gens, which live in the ring of t, intersected with the
-    ring of the other variables: t is the last variable."""
-    ext_vars = t.vars
-    vars = ext_vars[:-1]
-    basis = Ideal(gens, vars=ext_vars).groebner(elimination_order((len(vars),)))
-    kept = [
-        Polynomial(vars, {e[:-1]: c for e, c in p.terms.items()})
-        for p in basis
-        if all(e[-1] == 0 for e in p.terms)
-    ]
+def _eliminate_t(gens: list[IPoly], vars: tuple[str, ...]) -> Ideal:
+    """The ideal of the integer polynomials gens, whose last exponent is an
+    auxiliary variable t, intersected with the ring of vars."""
+    order = elimination_order((len(vars),))
+    keyf = order.key(len(vars) + 1)
+    kept = []
+    for d in _groebner_ints(gens, order):
+        if all(e[-1] == 0 for e in d):
+            lc = d[max(d, key=keyf)]
+            kept.append(Polynomial(vars, {e[:-1]: Fraction(v, lc) for e, v in d.items()}))
     return Ideal(kept, vars=vars)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via one auxiliary variable and block elimination."""
+    """I cap J as (t*I + (1 - t)*J) meet k[x]."""
     if I.vars != J.vars:
         raise ValueError("variable mismatch")
     if I.is_zero or J.is_zero:
         return Ideal((), vars=I.vars)
-    t, ext = _aux_ring(I.vars)
-    gens = [t * ext(g) for g in I.gens]
-    gens += [(1 - t) * ext(g) for g in J.gens]
-    return _eliminate_t(gens, t)
+    gens = [{e + (1,): v for e, v in _to_int(g).items()} for g in I.gens]
+    for g in J.gens:
+        d = _to_int(g)
+        gens.append({**{e + (0,): v for e, v in d.items()}, **{e + (1,): -v for e, v in d.items()}})
+    return _eliminate_t(gens, I.vars)
 
 
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity as (I + (1 - t*g)) meet k[x]."""
     if g.is_zero:
         raise ValueError("cannot saturate by the zero polynomial")
-    t, ext = _aux_ring(I.vars)
-    return _eliminate_t([*map(ext, I.gens), 1 - t * ext(g)], t)
+    if g.vars != I.vars:
+        raise ValueError("variable mismatch")
+    gens = [{e + (0,): v for e, v in _to_int(p).items()} for p in I.gens]
+    d = _to_int(g)
+    e0, v0 = next(iter(d.items()))
+    r = g.terms[e0] / v0  # g = r*d, so 1 - t*g is primitive as den - num*t*d
+    one = (0,) * (len(I.vars) + 1)
+    gens.append({one: r.denominator, **{e + (1,): -r.numerator * v for e, v in d.items()}})
+    return _eliminate_t(gens, I.vars)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:

@@ -43,6 +43,24 @@ def test_funbound_skips_on_degenerate_frame():
     assert "undefined" in rep.reason
 
 
+def test_checker_errors_propagate_instead_of_skipping(monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(checks, "generic_le", boom)
+    with pytest.raises(ValueError, match="boom"):
+        check_funbound(BN0, seed=0)
+
+
+def test_checker_skips_nonsingular_input_and_rejects_bad_arguments():
+    (rep,) = check_funbound(parse("x+y^2", ("x", "y")))
+    assert rep.skipped
+    with pytest.raises(ValueError, match="trials"):
+        check_funbound(BN0, trials=0)
+    with pytest.raises(ValueError, match="bound"):
+        check_funbound(BN0, bound=0)
+
+
 def test_mainone_values():
     (rep,) = check_mainone(TX, seed=0)
     assert (rep.lhs, rep.rhs) == (Fraction(11, 3), 3)

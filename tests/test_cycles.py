@@ -8,7 +8,6 @@ from lenumbers.cycles import (
     intersection_number,
     lambda_numbers,
     mpr_bounds,
-    mpr_exact,
     polar_ideal,
     polar_mult,
     polar_ratios,
@@ -141,7 +140,6 @@ def test_mpr_exact_from_components():
     comp = Ideal([parse("y", XYZ), parse("x+3*z", XYZ)], vars=XYZ)
     ratios = polar_ratios(BN0, Frame.identity(3), [(comp, 1)])
     assert ratios == (3,)
-    assert mpr_exact(BN0, Frame.identity(3), [(comp, 1)]) == 3
 
 
 def test_polar_ratio_component_validation():

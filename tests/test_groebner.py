@@ -8,6 +8,7 @@ from lenumbers.groebner import (
     Ideal,
     _divides,
     _eliminate_t,
+    _saturate_principal,
     _to_int,
     intersect,
     radical_member,
@@ -20,7 +21,7 @@ from _oracles import dim, ideal_quotient
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
-XYT = ("x", "y", "t")
+TT0 = ("t", "t0")
 
 
 def P(text, vars=XYZ):
@@ -123,11 +124,43 @@ def test_membership():
 
 
 def test_eliminate_twisted_cubic():
-    t = parse("t", XYT)
-    J = _eliminate_t([parse("x-t^2", XYT), parse("y-t^3", XYT)], t)
+    # x - t^2 and y - t^3 as integer polynomials, t the last exponent
+    J = _eliminate_t([{(1, 0, 0): 1, (0, 0, 2): -1}, {(0, 1, 0): 1, (0, 0, 3): -1}], XY)
     assert J.vars == XY
     assert J.groebner().contains(parse("y^2-x^3", XY))
     assert len(J.groebner().elements) == 1
+
+
+def _sympy_elimination(polys, u, xs):
+    """The reduced grevlex basis, as _sympy_set gives it, of the ideal of
+    the sympy expressions polys in u and xs, meet the ring of xs: sympy's
+    lex basis with u first, its u-free part."""
+    kept = [p for p in sympy.groebner(polys, u, *xs, order="lex").exprs if not p.has(u)]
+    return {
+        sympy.Poly(p, *xs, domain="QQ").monic()
+        for p in sympy.groebner(kept, *xs, order="grevlex").exprs
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eliminations_match_sympy(seed):
+    # the ring's variables are named t and t0; three variables make
+    # sympy's lex bases too slow for a unit test
+    I = _random_ideal(seed, vars=TT0, ngens=2)
+    J = _random_ideal(seed + 1000, vars=TT0, ngens=1)
+    xs = sympy.symbols(TT0)
+    u = sympy.Dummy("u")
+    names = dict(zip(TT0, xs))
+    expr = lambda p: sympy.sympify(str(p).replace("^", "**"), names)
+    theirs = _sympy_elimination(
+        [u * expr(g) for g in I.gens] + [(1 - u) * expr(g) for g in J.gens], u, xs
+    )
+    assert _sympy_set(intersect(I, J).groebner().elements, TT0, "grevlex") == theirs
+    # a non-integral content gives 1 - t*g an integer form whose constant
+    # term is not 1
+    g = J.gens[0] * Fraction(2, 3)
+    theirs = _sympy_elimination([expr(p) for p in I.gens] + [1 - u * expr(g)], u, xs)
+    assert _sympy_set(_saturate_principal(I, g).groebner().elements, TT0, "grevlex") == theirs
 
 
 def test_intersect_principal():
