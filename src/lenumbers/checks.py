@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .cycles import (
     LeRecord,
+    _answer,
+    _beside,
     generic_le,
     germ_subset,
     lambda_numbers,
@@ -634,7 +636,15 @@ def check_leiom(
     branch.  The structure claims (critical locus restriction, dimension
     drop, existence) gate everything: a coefficient that fails them is
     replaced, walking a deterministic ladder, and only claim failures
-    count as findings.  A given a must be nonzero."""
+    count as findings.  A given a must be nonzero.
+
+    The first coefficient's transform record is computed speculatively, in
+    a worker when one is free (cycles._beside), while the caller runs the
+    gate and reads the slice and polar numbers of the original; it is
+    lambda_numbers' own record, used only when the gate passes, and any
+    exception it raised is raised only then.  The gate's containment in
+    V(z0) saturates by the coordinate z0 without an auxiliary variable
+    (germ_subset)."""
     if a == 0:
         raise ValueError("coefficient a must be nonzero")
     rec, generic = _le_record(f, frame, seed, trials, bound)
@@ -660,30 +670,46 @@ def check_leiom(
     # dh/dz_0 = dg/dz_0 - a*m*z0^(m-1) with m >= 2, so every partial of h
     # vanishes on V(sig_g) and V(z0) together.
     z0_ideal = Ideal([z0], vars=h.vars)
+    # the transform's critical dimension once it passes the checks below
+    sg = s - 1 if s >= 1 else None
 
-    lam0_slice = slice_lam0(h)
-    g1 = rec.gamma1()
-    mult_g1 = rec.polar_mult(1)
-    hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
+    def wrong_structure(av, g) -> str | None:
+        """Why the transform g = h + av*z0^m fails the structure checks."""
+        sig_g = sigma_ideal(g)
+        if not (germ_subset(sig_g, z0_ideal) and germ_subset(target, sig_g)):
+            return f"a={av}: critical locus of the transform is wrong"
+        if sg is not None and local_dim(sig_g) != sg:
+            return f"a={av}: critical dimension did not drop to {sg}"
+        return None
 
     ladder = [] if a is None else [a]
     ladder += [c for k in range(1, LEIOM_COEFFS) for c in (k, -k) if c != a]
+    ladder = ladder[:LEIOM_COEFFS]
+
+    # The first coefficient usually passes, so a worker computes its
+    # transform's record while the caller checks the structure and reads
+    # the original's numbers; the record is used only if the checks pass.
+    g, gframe = iomdine(h, m, ladder[0])
+    task = (g, gframe, sg)
+    (why, lam0_slice, g1, mult_g1), (reply,) = _beside(
+        [task],
+        lambda: (wrong_structure(ladder[0], g), slice_lam0(h), rec.gamma1(), rec.polar_mult(1)),
+    )
+    hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
 
     chosen = None
     failures = []
-    for av in ladder[:LEIOM_COEFFS]:
-        g, gframe = iomdine(h, m, av)
-        sig_g = sigma_ideal(g)
-        if not (germ_subset(sig_g, z0_ideal) and germ_subset(target, sig_g)):
-            failures.append(f"a={av}: critical locus of the transform is wrong")
+    for av in ladder:
+        if av != ladder[0]:
+            g, gframe = iomdine(h, m, av)
+            task, reply = (g, gframe, sg), None
+            why = wrong_structure(av, g)
+        if why is not None:
+            failures.append(why)
             continue
-        sg = None
-        if s >= 1:
-            sg = local_dim(sig_g)
-            if sg != s - 1:
-                failures.append(f"a={av}: critical dimension did not drop to {s - 1}")
-                continue
-        recg = lambda_numbers(g, gframe, s=sg)
+        recg = _answer(task, reply)
+        if isinstance(recg, Exception):
+            raise recg
         if any(v is None for v in recg.lam):
             failures.append(f"a={av}: Le numbers of the transform undefined")
             continue

@@ -42,7 +42,14 @@ generic_le's frame trials share nothing, so each round runs them at once:
 the caller computes one, and forked worker processes (_Worker), started on
 first use and kept until exit, compute the others and send their records
 back whole as pickles.  The records are compared in trial order, so the
-answer is the serial loop's to the last polar generator.
+answer is the serial loop's to the last polar generator.  checks.check_leiom
+hands one worker the record of its first transform while the caller checks
+that transform, and uses the record only if the checks pass.  Both go
+through one protocol (_beside, _answer): a task no worker answers is
+computed in the caller.
+
+germ_subset, which gates the transforms of check_leiom, saturates by a
+coordinate without an auxiliary variable (groebner._saturate_coordinate).
 """
 
 from __future__ import annotations
@@ -56,7 +63,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import Ideal, _saturate_principal, radical_member, saturate
+from .groebner import (
+    Ideal,
+    _saturate_coordinate,
+    _saturate_principal,
+    radical_member,
+    saturate,
+)
 from .local import (
     hs_multiplicity,
     lazard_local_dim,
@@ -469,34 +482,52 @@ def _attempt(f: Polynomial, frame: Frame, s: int):
         return exc
 
 
+def _beside(tasks: Sequence[tuple], local):
+    """Run local() in the caller while workers compute _attempt(*task) for
+    each (f, frame, s) of tasks.
+
+    Returns local()'s result and one reply per task: the LeRecord or the
+    exception of its worker, or None when no worker computed it, because
+    none could be forked or it died or could not send its answer; _answer
+    then computes it in the caller.  Every reply is read before this
+    returns, used or not, so the next task a worker gets is answered by
+    its own reply.  A worker that failed drops the pool, and so does
+    local() raising, since a task may still be outstanding: the next call
+    forks fresh workers."""
+    workers = _workers(min(len(tasks), _pool_size(len(tasks) + 1)))
+    try:
+        sent = [w.send(task) for w, task in zip(workers, tasks)]
+        mine = local()
+        replies = [w.receive() if ok else None for w, ok in zip(workers, sent)]
+    except BaseException:
+        _drop_pool()
+        raise
+    if None in replies:
+        _drop_pool()
+    return mine, replies + [None] * (len(tasks) - len(replies))
+
+
+def _answer(task: tuple, reply):
+    """The LeRecord or exception of _attempt(*task): reply, or computed in
+    the caller when no worker answered."""
+    return _attempt(*task) if reply is None else reply
+
+
 def _lambda_trials(f: Polynomial, frames: Sequence[Frame], s: int) -> list[LeRecord]:
     """lambda_numbers(f, frame, s=s) for each frame, in frame order.
 
     The frames go in batches of one per worker plus one: the workers take
-    the first ones and the caller computes the last.  Whatever raised first
-    in frame order is raised, as a serial loop would raise it.  A worker
-    that dies or cannot send its answer has its frame recomputed by the
-    caller, and the pool is dropped; the next batch forks fresh workers.
-    A batch is smaller when fewer workers could be forked: with none, the
-    caller computes every frame."""
-    k = _pool_size(len(frames))
+    the first ones and the caller computes the last (_beside), then any
+    that no worker answered.  Whatever raised first in frame order is
+    raised, as a serial loop would raise it.  With no workers the caller
+    computes every frame."""
+    k = _pool_size(len(frames)) + 1
     out: list[LeRecord] = []
-    while len(out) < len(frames):
-        lo = len(out)
-        workers = _workers(min(k, len(frames) - lo - 1))
-        batch = frames[lo : lo + len(workers) + 1]
-        try:
-            sent = [w.send((f, frame, s)) for w, frame in zip(workers, batch)]
-            last = _attempt(f, batch[-1], s)
-            got = [w.receive() if ok else None for w, ok in zip(workers, sent)]
-        except BaseException:
-            # a task may still be outstanding: no later batch may read its reply
-            _drop_pool()
-            raise
-        if None in got:
-            _drop_pool()
-        got = [_attempt(f, fr, s) if r is None else r for fr, r in zip(batch, got)]
-        for r in got + [last]:
+    for lo in range(0, len(frames), k):
+        *tasks, last = [(f, frame, s) for frame in frames[lo : lo + k]]
+        mine, replies = _beside(tasks, lambda: _attempt(*last))
+        for task, reply in zip([*tasks, last], [*replies, mine]):
+            r = _answer(task, reply)
             if isinstance(r, Exception):
                 raise r
             out.append(r)
@@ -669,9 +700,15 @@ def germ_subset(I: Ideal, J: Ideal) -> bool:
     of V(I) minus V(J).  saturate intersects the saturations by the
     generators g of J, so that variety is the union of the V(I : g^infinity),
     and each is tested alone; g in I makes I : g^infinity the unit ideal
-    without a saturation."""
+    without a saturation.  A g that is a multiple of a coordinate x_i is
+    saturated by x_i with no auxiliary variable (_saturate_coordinate):
+    origin_on reads only the constant terms of the generators, so any
+    generating set of the saturation serves."""
     if I.vars != J.vars:
         raise ValueError("variable mismatch")
-    return all(
-        I.contains(g) or not origin_on(_saturate_principal(I, g)) for g in J.gens
-    )
+
+    def saturation(g: Polynomial) -> Ideal:
+        i = _coordinate_index(g)
+        return _saturate_principal(I, g) if i is None else _saturate_coordinate(I, i)
+
+    return all(I.contains(g) or not origin_on(saturation(g)) for g in J.gens)

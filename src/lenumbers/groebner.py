@@ -467,7 +467,7 @@ class Ideal:
 
     def __reduce__(self):
         # a lock does not pickle; the copy computes its own bases
-        return (Ideal, (self.gens, self.vars))
+        return (_restore_ideal, (self.gens, self.vars))
 
     @property
     def is_zero(self) -> bool:
@@ -491,6 +491,17 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal([{', '.join(str(g) for g in self.gens)}])"
+
+
+def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal:
+    """Unpickle an Ideal: its generators were checked and deduplicated when
+    it was built, so only the basis cache and its lock are made anew."""
+    I = object.__new__(Ideal)
+    I.vars = vars
+    I.gens = gens
+    I._cache = {}
+    I._lock = threading.Lock()
+    return I
 
 
 # -- eliminations -----------------------------------------------------------
@@ -535,6 +546,38 @@ def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     one = (0,) * (len(I.vars) + 1)
     gens.append({one: r.denominator, **{e + (1,): -r.numerator * v for e, v in d.items()}})
     return _eliminate_t(gens, I.vars)
+
+
+def _saturate_coordinate(I: Ideal, i: int) -> Ideal:
+    """I : x_i^infinity, generated by polynomials that are in general no
+    Groebner basis of it.
+
+    No auxiliary variable is needed (Bayer and Stillman, "A criterion for
+    detecting m-regularity", Invent. Math. 87, 1987): for a homogeneous
+    ideal and a grevlex order in which x_i is the smallest variable,
+    dividing each element of the reduced basis by the largest power of x_i
+    that divides it gives a basis of the saturation by x_i.  The generators
+    of I are homogenized with one new variable w; setting w = 1 maps the
+    saturation of the ideal they generate onto I : x_i^infinity."""
+    n = len(I.vars)
+    if not 0 <= i < n:
+        raise ValueError(f"no variable {i} in {n} variables")
+    if I.is_zero:
+        return I
+    rest = [k for k in range(n) if k != i]
+    hgens = []
+    for g in I.gens:
+        d = _to_int(g)
+        deg = max(map(sum, d))
+        hgens.append({tuple([e[k] for k in rest]) + (deg - sum(e), e[i]): v for e, v in d.items()})
+    gens = []
+    for d in _groebner_ints(hgens, GREVLEX):
+        low = min(e[-1] for e in d)
+        # homogeneous, so dropping w merges no two terms
+        gens.append(
+            Polynomial(I.vars, {e[:i] + (e[-1] - low,) + e[i : n - 1]: v for e, v in d.items()})
+        )
+    return Ideal(gens, vars=I.vars)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:

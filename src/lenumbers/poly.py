@@ -58,8 +58,9 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # rebuild through __init__: the guard above rules out slot restore
-        return (Polynomial, (self.vars, self.terms))
+        # the terms were validated when self was built; the guard above
+        # rules out the default slot restore
+        return (_restore_polynomial, (self.vars, self.terms))
 
     # -- constructors ------------------------------------------------------
 
@@ -298,6 +299,16 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.vars})"
+
+
+def _restore_polynomial(vars: tuple[str, ...], terms: dict[ExpVec, Fraction]) -> Polynomial:
+    """Unpickle a Polynomial: its terms were validated when it was built, so
+    the slots are set as they are, without __init__'s checks."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "vars", vars)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 # -- parsing ---------------------------------------------------------------

@@ -20,11 +20,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def serial_trials(monkeypatch):
-    """Compute every frame trial of generic_le in this process.
+    """Compute every frame trial of generic_le, and check_leiom's transform
+    record, in this process.
 
     Workers are forked processes that run the code as it stood when they were
-    forked, and what they record stays in their own memory.  A test that
+    forked, and what they record stays in their own memory.  Both callers
+    hand work to workers through cycles._beside, which reads _pool_size, so
+    with a pool size of 0 the caller computes everything.  A test that
     patches or spies on code under lambda_numbers and then reaches generic_le
-    takes this fixture, so that the patched code runs every trial."""
+    or check_leiom takes this fixture, so that the patched code runs every
+    computation."""
     cycles._drop_pool()
     monkeypatch.setattr(cycles, "_pool_size", lambda trials: 0)

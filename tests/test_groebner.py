@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lenumbers.cycles import sigma_ideal
 from lenumbers.groebner import (
     Ideal,
     _divides,
     _eliminate_t,
+    _saturate_coordinate,
     _saturate_principal,
     _to_int,
     intersect,
@@ -15,12 +19,14 @@ from lenumbers.groebner import (
     saturate,
 )
 from lenumbers.orders import GREVLEX, LEX
-from lenumbers.poly import Polynomial, parse
+from lenumbers.poly import Polynomial, iomdine, parse
 
+from _corpus import CORPUS, generic_record
 from _oracles import dim, ideal_quotient
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
 TT0 = ("t", "t0")
 
 
@@ -195,3 +201,63 @@ def test_dim():
     assert dim(Ideal([parse("x", XY), parse("y", XY)], vars=XY)) == 0
     assert dim(Ideal([parse("1", XY)], vars=XY)) == -1
     assert dim(Ideal((), vars=XY)) == 2
+
+
+def _same_saturation(I, i):
+    """_saturate_coordinate and _saturate_principal by x_i give ideals with
+    the same reduced grevlex basis."""
+    x = Polynomial.var_index(i, I.vars)
+    mine = _saturate_coordinate(I, i).groebner(GREVLEX).elements
+    assert mine == _saturate_principal(I, x).groebner(GREVLEX).elements
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_coordinate_saturation_of_the_transforms_critical_loci(member):
+    rec = generic_record(member.name, 0)
+    m = 2 if rec.lam[0] == 0 else 1 + rec.lam[0]
+    # check_leiom's first coefficient
+    sig_g = sigma_ideal(iomdine(rec.h, m, 1)[0])
+    for i in range(len(sig_g.vars)):
+        _same_saturation(sig_g, i)
+
+
+@st.composite
+def _sparse_ideal(draw):
+    """(I, i): one to three sparse generators in two to four variables, and
+    the index of a coordinate."""
+    vars = draw(st.sampled_from((XY, XYZ, XYZW)))
+    n = len(vars)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {
+            tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))): Fraction(
+                draw(st.integers(-3, 3))
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        }
+        gens.append(Polynomial(vars, terms))
+    gens = [g for g in gens if not g.is_zero] or [Polynomial.var_index(0, vars)]
+    return Ideal(gens, vars=vars), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_ideal())
+def test_coordinate_saturation_agrees_with_elimination(case):
+    _same_saturation(*case)
+
+
+@pytest.mark.parametrize(
+    "gens, vars, i",
+    [
+        (["1"], XY, 0),
+        (["x^2*y+y^3", "x*y^2+x"], XY, 1),
+        (["x*y-1", "x^2+y^3"], XY, 0),
+        (["x^2-z", "y*z+x^3+2"], XYZ, 2),
+        (["x^2-y^3", "y*z", "z"], XYZ, 2),
+        (["x*(y^2-z^3)", "x*w^2", "x^3*z"], XYZW, 0),
+    ],
+    ids=["unit", "two-vars", "constant-term", "constant-term-3", "contains-x_i", "x_i-divides"],
+)
+def test_coordinate_saturation_edge_cases(gens, vars, i):
+    I = Ideal([parse(g, vars) for g in gens], vars=vars)
+    _same_saturation(I, i)

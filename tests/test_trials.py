@@ -1,8 +1,10 @@
-"""generic_le's frame trials in forked worker processes.
+"""generic_le's frame trials, and check_leiom's transform record, in forked
+worker processes.
 
 Records cross a pipe as pickles, so the tests check that they survive the
 trip, that generic_le returns what the serial loop of tests/_oracles.py
-returns, and that a failing or dying worker changes no answer and no
+returns, that check_leiom reports what it reports with every computation in
+the caller, and that a failing or dying worker changes no answer and no
 worker outlives the process that forked it.
 """
 
@@ -15,10 +17,12 @@ import traceback
 
 import pytest
 
+import lenumbers.checks as checks
 import lenumbers.cycles as cycles
-from lenumbers.cycles import _lambda_trials, generic_le, lambda_numbers
+from lenumbers.checks import check_leiom
+from lenumbers.cycles import LeRecord, _lambda_trials, generic_le, lambda_numbers
 from lenumbers.groebner import Ideal
-from lenumbers.poly import Frame, parse
+from lenumbers.poly import Frame, iomdine, parse
 
 from _corpus import CORPUS, SEEDS, generic_record
 from _oracles import serial_generic_le
@@ -57,7 +61,15 @@ def test_frame_pickles_with_its_inverse():
 @pytest.mark.parametrize("name", ["cuspsus", "cuspsheet"])
 def test_le_record_pickles_with_its_germ_and_polar_varieties(name):
     rec = generic_record(name, 0)
-    _same_record(pickle.loads(pickle.dumps(rec)), rec)
+    copy = pickle.loads(pickle.dumps(rec))
+    _same_record(copy, rec)
+    # unpickling restores the slots without __init__; the hash is recomputed
+    assert hash(copy) == hash(rec)
+    assert hash(copy.h) == hash(rec.h)
+    assert [hash(g) for P in copy.polar for g in P.gens] == [
+        hash(g) for P in rec.polar for g in P.gens
+    ]
+    assert copy.h * copy.h == rec.h * rec.h
 
 
 @pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
@@ -191,3 +203,85 @@ def test_serial_trials_runs_every_frame_in_the_caller(monkeypatch, serial_trials
     generic_le(BN0, seed=0, trials=3)
     assert len(frames) == 3
     assert cycles._POOL == []
+
+
+def _leiom_reports(f, **kwargs):
+    return [repr(check_leiom(f, seed=0, a=a, **kwargs)) for a in (None, 3)]
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_check_leiom_matches_the_caller_only_run(member, request):
+    pooled = _leiom_reports(member.poly)
+    request.getfixturevalue("serial_trials")
+    assert _leiom_reports(member.poly) == pooled
+
+
+def _spy_answers(monkeypatch) -> list:
+    """The (task, reply) pairs check_leiom hands to cycles._answer."""
+    seen = []
+    answer = checks._answer
+
+    def spy(task, reply):
+        seen.append((task, reply))
+        return answer(task, reply)
+
+    monkeypatch.setattr(checks, "_answer", spy)
+    return seen
+
+
+def _first_gate_fails(monkeypatch) -> None:
+    """Make the first germ_subset call of check_leiom, the critical-locus
+    gate of its first coefficient, fail."""
+    calls = []
+
+    def first_fails(I, J):
+        calls.append(J)
+        return len(calls) > 1 and cycles.germ_subset(I, J)
+
+    monkeypatch.setattr(checks, "germ_subset", first_fails)
+
+
+@needs_workers
+def test_check_leiom_uses_the_workers_transform_record(monkeypatch):
+    seen = _spy_answers(monkeypatch)
+    reports = check_leiom(BN0, m=9, seed=0)
+    (((g, gframe, sg), reply),) = seen
+    assert isinstance(reply, LeRecord)
+    _same_record(reply, lambda_numbers(g, gframe, s=sg))
+    assert all(r.context["lam_transform"] == reply.lam for r in reports)
+
+
+def test_failed_first_gate_discards_the_speculative_record(monkeypatch, request):
+    seen = _spy_answers(monkeypatch)
+    _first_gate_fails(monkeypatch)
+    pooled = check_leiom(BN0, m=9, seed=0)
+    assert all(r.context["a"] == -1 for r in pooled)
+    # only the second coefficient's record is asked for, and no worker has it
+    assert [reply for _, reply in seen] == [None]
+    # the discarded reply was read: the pool is still in step
+    _same_record(generic_le(BN0, seed=2), serial_generic_le(BN0, seed=2))
+    request.getfixturevalue("serial_trials")
+    _first_gate_fails(monkeypatch)
+    assert repr(check_leiom(BN0, m=9, seed=0)) == repr(pooled)
+
+
+def test_transform_error_surfaces_only_when_its_record_is_used(monkeypatch, request):
+    # workers forked from here on inherit the patch; drop them afterwards
+    cycles._drop_pool()
+    request.addfinalizer(cycles._drop_pool)
+    identity = Frame.identity(3)
+    first, _ = iomdine(BN0, 9, 1)
+    real = cycles.lambda_numbers
+
+    def fails_on_first(f, frame=None, *, s=None):
+        if f == first:
+            raise ArithmeticError("boom")
+        return real(f, frame, s=s)
+
+    monkeypatch.setattr(cycles, "lambda_numbers", fails_on_first)
+    with pytest.raises(ArithmeticError, match="boom"):
+        check_leiom(BN0, m=9, frame=identity)
+    _first_gate_fails(monkeypatch)
+    reports = check_leiom(BN0, m=9, frame=identity)
+    assert all(r.context["a"] == -1 for r in reports)
+    assert len(cycles._POOL) == min(1, cycles._pool_size(2))
