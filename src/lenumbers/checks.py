@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cycles import (
     LeRecord,
@@ -24,7 +24,6 @@ from .cycles import (
     germ_subset,
     lambda_numbers,
     mpr_bounds,
-    polar_ratios,
     sigma_ideal,
     slice_lam0,
     why_not_singular,
@@ -529,14 +528,12 @@ def check_newmpr_and_easybound(
     seed: int = 0,
     trials: int = 3,
     bound: int = 10,
-    components: Sequence[tuple[Ideal, int]] | None = None,
 ) -> list[IneqReport]:
     """Bundle of polar-ratio and multiplicity bounds.
 
-    Without a component decomposition of the polar curve the two upper
-    bounds are checked for consistency against the multiplicity lower
-    bound; supplying components sharpens everything to the exact maximum
-    polar ratio."""
+    The two upper bounds on the maximum polar ratio (mpr_bounds) are
+    checked for consistency against its multiplicity lower bound, and,
+    when that bound exceeds 1, the smaller upper bound against mult f."""
     rec, generic = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("newmpr", "Le numbers undefined")]
@@ -545,16 +542,10 @@ def check_newmpr_and_easybound(
         return [_skip("newmpr", "lambda^0 undefined for this frame")]
     mult = f.mult_origin()
     mb = mpr_bounds(f, rec.frame, rec)
-    exact = None
-    if components is not None:
-        # the maximum polar ratio; 1 when the polar curve is empty
-        exact = max(polar_ratios(f, rec.frame, components), default=Fraction(1))
-    base = exact if exact is not None else Fraction(mb.lower)
     ctx = dict(
         lower=mb.lower,
         upper_simple=mb.upper_simple,
         upper_polar=mb.upper_polar,
-        exact=exact,
         lam=rec.lam,
         gam=rec.gam,
         mult=mult,
@@ -562,20 +553,17 @@ def check_newmpr_and_easybound(
         generic=generic,
     )
     reports = [
-        _rep("newmpr-simple", mb.upper_simple, base, Fraction(mb.upper_simple) >= base, **ctx)
+        _rep("newmpr-simple", mb.upper_simple, mb.lower, mb.upper_simple >= mb.lower, **ctx)
     ]
+    probe = mb.upper_simple
     if mb.upper_polar is not None:
         reports.append(
-            _rep("newmpr-polar", mb.upper_polar, base, Fraction(mb.upper_polar) >= base, **ctx)
+            _rep("newmpr-polar", mb.upper_polar, mb.lower, mb.upper_polar >= mb.lower, **ctx)
         )
+        probe = min(probe, mb.upper_polar)
     if mb.lower > 1:
         # the multiplicity hypothesis held with a nonzero gamma^1, so the
-        # ratio itself must reach mult f; test whatever stands in for it
-        probe = exact
-        if probe is None:
-            probe = Fraction(mb.upper_simple)
-            if mb.upper_polar is not None:
-                probe = min(probe, Fraction(mb.upper_polar))
+        # ratio itself must reach mult f, and so must its smaller upper bound
         reports.append(_rep("mprmult", probe, mult, probe >= mult, **ctx))
     if lam0 != 0:
         d0 = rec.h.partial(0)
@@ -636,7 +624,8 @@ def check_leiom(
     branch.  The structure claims (critical locus restriction, dimension
     drop, existence) gate everything: a coefficient that fails them is
     replaced, walking a deterministic ladder, and only claim failures
-    count as findings.  A given a must be nonzero.
+    count as findings.  A given a must be nonzero and a given m at least
+    2; both are checked before anything is computed.
 
     The first coefficient's transform record is computed speculatively, in
     a worker when one is free (cycles._beside), while the caller runs the
@@ -647,6 +636,8 @@ def check_leiom(
     (germ_subset)."""
     if a == 0:
         raise ValueError("coefficient a must be nonzero")
+    if m is not None and (not isinstance(m, int) or m < 2):
+        raise ValueError("power m must be an integer >= 2")
     rec, generic = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("leiom", "Le numbers undefined")]
@@ -657,8 +648,6 @@ def check_leiom(
         return [_skip("leiom", "Le numbers undefined for this frame")]
     if m is None:
         m = 2 if lam0 == 0 else 1 + lam0
-    if not isinstance(m, int) or m < 2:
-        raise ValueError("power m must be an integer >= 2")
     h = rec.h
     z0 = Polynomial.var_index(0, h.vars)
     sig_h = sigma_ideal(h)

@@ -60,14 +60,12 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
     Ideal,
     _saturate_coordinate,
     _saturate_principal,
-    radical_member,
     saturate,
 )
 from .local import (
@@ -368,6 +366,7 @@ class _Worker:
 
     def __init__(self):
         fds: list[int] = []
+        parent = os.getpid()
         try:
             fds += os.pipe()
             fds += os.pipe()
@@ -379,6 +378,7 @@ class _Worker:
         task_r, task_w, reply_r, reply_w = fds
         if pid == 0:
             try:
+                _die_with(parent)
                 os.close(task_w)
                 os.close(reply_r)
                 _serve(os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb"))
@@ -408,6 +408,27 @@ class _Worker:
             return pickle.load(self.replies)
         except Exception:
             return None
+
+
+# prctl option (linux/prctl.h): the signal to get when the parent thread exits
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with(parent: int) -> None:
+    """In a new worker: have the kernel SIGKILL it when the thread that
+    forked it exits, even when that caller dies without running its exit
+    hooks, and exit at once if the caller died before the request.  Skipped
+    where prctl is missing.  A caller that forks from a short-lived thread
+    loses its workers with that thread; _answer then computes their tasks
+    itself."""
+    import ctypes  # here, so the caller neither imports nor maps it
+
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
+    except (AttributeError, OSError):
+        return
+    if os.getppid() != parent:
+        os._exit(0)
 
 
 # the workers of this process; started on first use, kept until exit
@@ -646,51 +667,6 @@ def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord) -> MprBounds:
         upper_simple=lam0 + 1,
         upper_polar=lam0 - g1 + 2 if hyp else None,
     )
-
-
-def polar_ratios(
-    f: Polynomial, frame: Frame, components: Sequence[tuple[Ideal, int]]
-) -> tuple[Fraction, ...]:
-    """Polar ratios of user-supplied irreducible components of the polar
-    curve, validated against the computed Gamma^1 (containment of each
-    component and additivity of multiplicities)."""
-    h = apply_frame(f, frame)
-    P = _polar_of(_partials(f, h, frame), 1)
-    # the Lazard bases of P and of each C serve hs_multiplicity as well
-    ld = lazard_local_dim(P)
-    if ld == -1:
-        if components:
-            raise ValueError("polar curve is empty but components were supplied")
-        return ()
-    if ld != 1:
-        raise ValueError(f"polar ideal is {ld}-dimensional, expected a curve")
-    total = 0
-    for C, p in components:
-        if C.vars != h.vars:
-            raise ValueError("component in the wrong ring")
-        if not (isinstance(p, int) and p >= 1):
-            raise ValueError("component multiplicity must be a positive integer")
-        if lazard_local_dim(C) != 1:
-            raise ValueError("component is not a curve through the origin")
-        if not all(radical_member(g, C) for g in P.groebner().elements):
-            raise ValueError("component does not lie on the polar curve")
-        total += p * hs_multiplicity(C)
-    if total != hs_multiplicity(P):
-        raise ValueError("component multiplicities do not add up to mult Gamma^1")
-    z0 = Polynomial.var_index(0, h.vars)
-    d0 = h.partial(0)
-    ratios = []
-    for C, _ in components:
-        b = intersection_number(C, [z0])
-        if b is None:
-            # component inside V(z0): ratio 1 by convention
-            ratios.append(Fraction(1))
-            continue
-        a = intersection_number(C, [d0])
-        if a is None or b == 0:
-            raise ValueError("component meets V(df/dz0) improperly")
-        ratios.append(Fraction(a, b) + 1)
-    return tuple(ratios)
 
 
 def germ_subset(I: Ideal, J: Ideal) -> bool:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .orders import GREVLEX
 

@@ -184,6 +184,22 @@ def test_leiom_rejects_bad_power():
         check_leiom(BN0, m=1)
 
 
+def test_leiom_rejects_bad_power_before_any_computation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("Le numbers computed for a bad power")
+
+    monkeypatch.setattr(checks, "generic_le", fail)
+    monkeypatch.setattr(checks, "lambda_numbers", fail)
+    for m in (1, 0, 2.5):
+        with pytest.raises(ValueError, match="power m"):
+            check_leiom(BN0, m=m)
+    with pytest.raises(ValueError, match="power m"):
+        check_leiom(BN0, m=1, frame=Frame.identity(3))
+    # not singular at the origin: a skip for a good power, an error for this
+    with pytest.raises(ValueError, match="power m"):
+        check_leiom(parse("x+y^2", ("x", "y")), m=1)
+
+
 @pytest.mark.parametrize(
     "a, ladder",
     [
@@ -235,16 +251,9 @@ def test_suspension_shape_rejection():
         check_suspension(BY_NAME["q4"].poly)
 
 
-def test_newmpr_bundle_exact():
-    comp = Ideal(
-        [parse("y", ("x", "y", "z")), parse("x+3*z", ("x", "y", "z"))],
-        vars=("x", "y", "z"),
-    )
+def test_newmpr_bundle_identity_frame():
     reports = {
-        r.name: r
-        for r in check_newmpr_and_easybound(
-            BN0, frame=Frame.identity(3), components=[(comp, 1)]
-        )
+        r.name: r for r in check_newmpr_and_easybound(BN0, frame=Frame.identity(3))
     }
     assert reports["newmpr-simple"].lhs == 3
     assert reports["newmpr-polar"].lhs == 3

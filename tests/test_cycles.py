@@ -10,7 +10,6 @@ from lenumbers.cycles import (
     mpr_bounds,
     polar_ideal,
     polar_mult,
-    polar_ratios,
     sigma_ideal,
     slice_check,
 )
@@ -134,21 +133,6 @@ def test_mpr_bounds():
     assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 3, 3)
     mb = mpr_bounds(TX, Frame.identity(3), lambda_numbers(TX))
     assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 13, 10)
-
-
-def test_mpr_exact_from_components():
-    comp = Ideal([parse("y", XYZ), parse("x+3*z", XYZ)], vars=XYZ)
-    ratios = polar_ratios(BN0, Frame.identity(3), [(comp, 1)])
-    assert ratios == (3,)
-
-
-def test_polar_ratio_component_validation():
-    comp = Ideal([parse("y", XYZ), parse("x+3*z", XYZ)], vars=XYZ)
-    with pytest.raises(ValueError):
-        polar_ratios(BN0, Frame.identity(3), [(comp, 2)])  # multiplicities must add up
-    off = Ideal([parse("x", XYZ), parse("y-z", XYZ)], vars=XYZ)
-    with pytest.raises(ValueError):
-        polar_ratios(BN0, Frame.identity(3), [(off, 1)])  # not on the polar curve
 
 
 def test_germ_subset_sees_through_units():

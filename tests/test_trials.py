@@ -13,6 +13,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 import traceback
 
 import pytest
@@ -155,6 +156,49 @@ pids = [w.pid for w in cycles._POOL]
     for pid in (int(p) for _, p in lines):
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _gone_or_zombie(pid):
+    # a reparented worker may stay a zombie: PID 1 of a container need not
+    # reap it
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+def test_worker_dies_with_a_killed_caller():
+    # SIGKILL skips the exit hook that drops the pool, so only the kernel's
+    # parent-death signal stops the worker in the middle of its task
+    code = """
+import sys, time
+import lenumbers.cycles as cycles
+
+cycles._attempt = lambda *task: time.sleep(30)
+(w,) = cycles._workers(1)
+w.send((None, None, None))
+print(w.pid, flush=True)
+sys.stdin.read()
+"""
+    with subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as caller:
+        try:
+            pid = int(caller.stdout.readline())
+        finally:
+            caller.kill()
+    deadline = time.monotonic() + 1
+    while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    alive = not _gone_or_zombie(pid)
+    if alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, "the worker outlived its killed caller"
 
 
 def test_one_usable_cpu_forks_nothing(monkeypatch):
