@@ -10,6 +10,7 @@ left the frame choice to us.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field, replace
@@ -21,7 +22,6 @@ from .cycles import (
     _answer,
     _beside,
     generic_le,
-    germ_subset,
     lambda_numbers,
     mpr_bounds,
     sigma_ideal,
@@ -29,7 +29,7 @@ from .cycles import (
     why_not_singular,
 )
 from .groebner import Ideal
-from .local import local_dim
+from .local import germ_in_hyperplane, local_dim
 from .milnor import milnor, sectional
 from .poly import Frame, ParseError, Polynomial, iomdine, parse, restrict
 
@@ -631,9 +631,10 @@ def check_leiom(
     a worker when one is free (cycles._beside), while the caller runs the
     gate and reads the slice and polar numbers of the original; it is
     lambda_numbers' own record, used only when the gate passes, and any
-    exception it raised is raised only then.  The gate's containment in
-    V(z0) saturates by the coordinate z0 without an auxiliary variable
-    (germ_subset)."""
+    exception it raised is raised only then.  The gate asks one question of
+    each coefficient, whether the transform's critical locus lies in V(z0)
+    near 0 (local.germ_in_hyperplane), and reads the critical dimension,
+    which no coefficient changes, at most once."""
     if a == 0:
         raise ValueError("coefficient a must be nonzero")
     if m is not None and (not isinstance(m, int) or m < 2):
@@ -650,24 +651,25 @@ def check_leiom(
         m = 2 if lam0 == 0 else 1 + lam0
     h = rec.h
     z0 = Polynomial.var_index(0, h.vars)
-    sig_h = sigma_ideal(h)
-    target = Ideal(list(sig_h.gens) + [z0], vars=h.vars)
-    # The transform's critical locus must be V(target) near 0.  That it
-    # contains V(target) is tested as it stands.  For the other inclusion,
-    # V(sig_g) inside V(z0) is necessary and also enough: for
-    # g = h + a*z0^m, dg/dz_i = dh/dz_i when i >= 1, and
-    # dh/dz_0 = dg/dz_0 - a*m*z0^(m-1) with m >= 2, so every partial of h
-    # vanishes on V(sig_g) and V(z0) together.
-    z0_ideal = Ideal([z0], vars=h.vars)
+    # The transform's critical locus must be V(target) near 0, where
+    # target = sigma_ideal(h) + (z0).  For g = h + a*z0^m, dg/dz_i = dh/dz_i
+    # when i >= 1 and dg/dz_0 = dh/dz_0 + a*m*z0^(m-1) with m >= 2, so
+    # sigma_ideal(g) lies in target and V(target) lies in V(sig_g).  The
+    # same identities make every partial of h vanish on V(sig_g) and V(z0)
+    # together, so V(sig_g) inside V(z0) gives the other inclusion.  The
+    # germs are then equal, and so are their dimensions, which do not
+    # depend on a.
+    target_dim = functools.cache(
+        lambda: local_dim(Ideal([*sigma_ideal(h).gens, z0], vars=h.vars))
+    )
     # the transform's critical dimension once it passes the checks below
     sg = s - 1 if s >= 1 else None
 
     def wrong_structure(av, g) -> str | None:
         """Why the transform g = h + av*z0^m fails the structure checks."""
-        sig_g = sigma_ideal(g)
-        if not (germ_subset(sig_g, z0_ideal) and germ_subset(target, sig_g)):
+        if not germ_in_hyperplane(sigma_ideal(g), 0):
             return f"a={av}: critical locus of the transform is wrong"
-        if sg is not None and local_dim(sig_g) != sg:
+        if sg is not None and target_dim() != sg:
             return f"a={av}: critical dimension did not drop to {sg}"
         return None
 
@@ -684,7 +686,7 @@ def check_leiom(
         [task],
         lambda: (wrong_structure(ladder[0], g), slice_lam0(h), rec.gamma1(), rec.polar_mult(1)),
     )
-    hyp_mult = g1 is not None and mult_g1 is not None and g1 == mult_g1
+    hyp_mult = g1 is not None and g1 == mult_g1
 
     chosen = None
     failures = []
@@ -731,11 +733,7 @@ def check_leiom(
     ub = lam0 + (m - 1) * lam1
     l0g = recg.lam[0]
     reports.append(_rep("leiom-bound", l0g, ub, l0g <= ub, **ctx))
-    threshold = (
-        (lam0 == 0)
-        or (lam0 != 0 and m >= 1 + lam0)
-        or (hyp_mult and m >= lam0 - g1 + 2)
-    )
+    threshold = lam0 == 0 or m >= 1 + lam0 or (hyp_mult and m >= lam0 - g1 + 2)
     if threshold:
         reports.append(_rep("leiom-equality", l0g, ub, l0g == ub, **ctx))
     if g1 is not None and lam0_slice is not None:

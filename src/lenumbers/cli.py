@@ -385,12 +385,16 @@ def _read_family(path: str) -> list[dict]:
             or not isinstance(entry.get("template"), str)
             or not isinstance(entry.get("params"), dict)
             or not all(
-                isinstance(vs, list) and all(isinstance(v, int) for v in vs)
+                isinstance(vs, list)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in vs)
                 for vs in entry["params"].values()
             )
+            or not isinstance(names := entry.get("vars", []), list)
+            or not all(isinstance(v, str) for v in names)
         ):
             raise _InputError(
-                f"family file line {i}: need {{'template': str, 'params': {{name: [ints]}}}}"
+                f"family file line {i}: need {{'template': str, 'params': {{name: [ints]}}"
+                ", 'vars': [str] (optional)}"
             )
         entries.append(entry)
     return entries

@@ -47,9 +47,6 @@ hands one worker the record of its first transform while the caller checks
 that transform, and uses the record only if the checks pass.  Both go
 through one protocol (_beside, _answer): a task no worker answers is
 computed in the caller.
-
-germ_subset, which gates the transforms of check_leiom, saturates by a
-coordinate without an auxiliary variable (groebner._saturate_coordinate).
 """
 
 from __future__ import annotations
@@ -62,18 +59,12 @@ import signal
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .groebner import (
-    Ideal,
-    _saturate_coordinate,
-    _saturate_principal,
-    saturate,
-)
+from .groebner import Ideal, saturate
 from .local import (
     hs_multiplicity,
     lazard_local_dim,
     local_dim,
     local_quotient_dim,
-    origin_on,
     truncated_quotient_dim,
 )
 from .poly import Frame, Polynomial, apply_frame
@@ -667,24 +658,3 @@ def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord) -> MprBounds:
         upper_simple=lam0 + 1,
         upper_polar=lam0 - g1 + 2 if hyp else None,
     )
-
-
-def germ_subset(I: Ideal, J: Ideal) -> bool:
-    """Whether V(I) is contained in V(J) as germs at the origin.
-
-    That holds exactly when the origin is off V(I : J^infinity), the closure
-    of V(I) minus V(J).  saturate intersects the saturations by the
-    generators g of J, so that variety is the union of the V(I : g^infinity),
-    and each is tested alone; g in I makes I : g^infinity the unit ideal
-    without a saturation.  A g that is a multiple of a coordinate x_i is
-    saturated by x_i with no auxiliary variable (_saturate_coordinate):
-    origin_on reads only the constant terms of the generators, so any
-    generating set of the saturation serves."""
-    if I.vars != J.vars:
-        raise ValueError("variable mismatch")
-
-    def saturation(g: Polynomial) -> Ideal:
-        i = _coordinate_index(g)
-        return _saturate_principal(I, g) if i is None else _saturate_coordinate(I, i)
-
-    return all(I.contains(g) or not origin_on(saturation(g)) for g in J.gens)

@@ -15,7 +15,10 @@ curve of it, and global bases tell which: V(I : x_i^infinity) is the
 closure of V(I) minus V(x_i) (Cox, Little, O'Shea, Ideals, Varieties, and
 Algorithms, ch. 4 section 4), and V(I) minus the origin is the union of
 those sets over i, so the origin is on a curve exactly when it lies on
-some V(I : x_i^infinity).  Dimensions that go on to a multiplicity
+some V(I : x_i^infinity).  germ_in_hyperplane asks the same of one
+coordinate: V(I) lies in V(x_i) near 0 exactly when the origin is off
+V(I : x_i^infinity), a saturation with no auxiliary variable
+(groebner._saturate_coordinate).  Dimensions that go on to a multiplicity
 (hs_multiplicity) are read off the Lazard basis that count needs anyway
 (lazard_local_dim).
 
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .groebner import Basis, Ideal, _divides, _saturate_principal
+from .groebner import Basis, Ideal, _divides, _saturate_coordinate, _saturate_principal
 from .orders import GREVLEX, LOCAL, ExpVec
 from .poly import Polynomial
 
@@ -160,6 +163,18 @@ def origin_on(I: Ideal) -> bool:
     """Whether the origin lies on V(I).  Evaluation at 0 is a ring map, so
     that holds exactly when every generator vanishes there."""
     return all(g.constant_term == 0 for g in I.gens)
+
+
+def germ_in_hyperplane(I: Ideal, i: int) -> bool:
+    """Whether V(I) lies in the hyperplane V(x_i) as germs at the origin.
+
+    That holds exactly when the origin is off V(I : x_i^infinity), the
+    closure of V(I) minus V(x_i); x_i in I makes that saturation the unit
+    ideal without computing it.  The saturation needs no auxiliary variable
+    (groebner._saturate_coordinate), and origin_on reads only the constant
+    terms of the generators, so any generating set of it serves."""
+    x = Polynomial.var_index(i, I.vars)
+    return I.contains(x) or not origin_on(_saturate_coordinate(I, i))
 
 
 def local_dim(I: Ideal) -> int:

@@ -49,3 +49,34 @@ def test_every_import_is_used():
             if names:
                 unused[path.name] = names
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private names a module defines, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_referenced():
+    # a helper that a deletion leaves without callers shows up here
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(lenumbers.__file__).parent.glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = {
+        name: sorted(_private_definitions(tree) - referenced) for name, tree in trees.items()
+    }
+    assert {k: v for k, v in unreferenced.items() if v} == {}

@@ -14,11 +14,13 @@ from lenumbers.checks import (
     check_teissier,
     search_dagger,
 )
-from lenumbers.cycles import germ_subset, sigma_ideal
+from lenumbers.cycles import sigma_ideal
 from lenumbers.groebner import Ideal
+from lenumbers.local import germ_in_hyperplane, local_dim
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
 from _corpus import BY_NAME, CORPUS, generic_record
+from _oracles import germ_subset_by_saturation
 
 BN0 = BY_NAME["bn0"].poly
 TX = BY_NAME["tx"].poly
@@ -158,7 +160,7 @@ def _z0_gate_and_full_gate(h, m, a):
     z0 = Polynomial.var_index(0, h.vars)
     target = Ideal([*sigma_ideal(h).gens, z0], vars=h.vars)
     sig_g = sigma_ideal(iomdine(h, m, a)[0])
-    return germ_subset(sig_g, Ideal([z0], vars=h.vars)), germ_subset(sig_g, target)
+    return germ_in_hyperplane(sig_g, 0), germ_subset_by_saturation(sig_g, target)
 
 
 @pytest.mark.parametrize("member", [m for m in CORPUS if m.s >= 1], ids=lambda m: m.name)
@@ -177,6 +179,71 @@ def test_leiom_gates_agree_where_the_transform_fails():
     assert _z0_gate_and_full_gate(umbrella, 2, -1) == (False, False)
     cylinder = apply_frame(BY_NAME["cylinder"].poly, Frame.rotation(3))
     assert _z0_gate_and_full_gate(cylinder, 2, -1) == (False, False)
+
+
+@pytest.mark.parametrize("member", [m for m in CORPUS if m.s >= 1], ids=lambda m: m.name)
+def test_leiom_transform_partials_lie_in_the_target(member):
+    # why check_leiom tests only V(sig_g) in V(z0): sigma_ideal(g) lies in
+    # sigma_ideal(h) + (z0) for every transform g = h + a*z0^m
+    for seed in (0, 1):
+        rec = generic_record(member.name, seed)
+        h = rec.h
+        target = Ideal([*sigma_ideal(h).gens, Polynomial.var_index(0, h.vars)], vars=h.vars)
+        m = 2 if rec.lam[0] == 0 else 1 + rec.lam[0]
+        for a in (1, -1, 2):
+            g = iomdine(h, m, a)[0]
+            assert all(target.contains(p) for p in sigma_ideal(g).gens), (seed, a)
+
+
+def _spy_local_dim(monkeypatch, answer=local_dim) -> list:
+    """The ideals check_leiom hands to local_dim; answer gives the dimension."""
+    seen = []
+
+    def spy(I):
+        seen.append(I)
+        return answer(I)
+
+    monkeypatch.setattr(checks, "local_dim", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["bn0", "tx", "a2"])
+def test_leiom_reads_the_critical_dimension_of_the_target_once(monkeypatch, name):
+    seen = _spy_local_dim(monkeypatch)
+    transforms = []
+
+    def iomdine_spy(h, m, av):
+        out = iomdine(h, m, av)
+        transforms.append(out[0])
+        return out
+
+    monkeypatch.setattr(checks, "iomdine", iomdine_spy)
+    reports = check_leiom(BY_NAME[name].poly, seed=0)
+    assert not any(r.skipped for r in reports)
+    h = generic_record(name, 0).h
+    z0 = Polynomial.var_index(0, h.vars)
+    want = [] if BY_NAME[name].s == 0 else [(*sigma_ideal(h).gens, z0)]
+    assert [I.gens for I in seen] == want
+    assert not {sigma_ideal(g).gens for g in transforms} & {I.gens for I in seen}
+
+
+def test_leiom_reads_a_failing_critical_dimension_once(monkeypatch):
+    seen = _spy_local_dim(monkeypatch, answer=lambda I: 5)
+    (rep,) = check_leiom(BN0, m=2, frame=Frame.identity(3))
+    assert rep.skipped
+    assert len(seen) == 1
+    assert rep.context["failures"] == [
+        f"a={av}: critical dimension did not drop to 0"
+        for av in (1, -1, 2, -2, 3, -3, 4, -4)
+    ]
+
+
+def test_leiom_reads_no_critical_dimension_when_no_transform_passes(monkeypatch):
+    seen = _spy_local_dim(monkeypatch)
+    monkeypatch.setattr(checks, "germ_in_hyperplane", lambda I, i: False)
+    (rep,) = check_leiom(BN0, m=2, frame=Frame.identity(3))
+    assert rep.skipped
+    assert seen == []
 
 
 def test_leiom_rejects_bad_power():
@@ -216,7 +283,7 @@ def test_leiom_ladder_tries_distinct_coefficients(monkeypatch, a, ladder):
         tried.append(av)
         return iomdine(h, m, av)
 
-    monkeypatch.setattr(checks, "germ_subset", lambda I, J: False)
+    monkeypatch.setattr(checks, "germ_in_hyperplane", lambda I, i: False)
     monkeypatch.setattr(checks, "iomdine", iomdine_spy)
     (rep,) = check_leiom(BN0, m=2, a=a, frame=Frame.identity(3))
     assert rep.skipped

@@ -291,6 +291,24 @@ def test_search_family_errors(tmp_path, capsys):
     assert "instances = 0" in out
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"template": "x^2+y^a", "params": {"a": [3]}, "vars": 5},
+        {"template": "x^2+y^a", "params": {"a": [3]}, "vars": [1, 2]},
+        {"template": "x^2+y^a", "params": {"a": [3]}, "vars": "xy"},
+        {"template": "x^2+y^a", "params": {"a": [True]}},
+    ],
+)
+def test_search_rejects_malformed_vars_and_params(tmp_path, capsys, entry):
+    fam = family_file(tmp_path, json.dumps(entry))
+    code, out, err = run(capsys, "search", "dagger", "--family", fam)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: family file line 1")
+    assert "Traceback" not in err
+
+
 def test_search_limit_via_trials(tmp_path, capsys):
     fam = family_file(
         tmp_path, json.dumps({"template": "x^a + y^3", "params": {"a": [2, 3, 4, 5]}})

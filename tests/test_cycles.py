@@ -4,7 +4,6 @@ import lenumbers.cycles as cycles
 from lenumbers.checks import check_leiom, check_newmpr_and_easybound
 from lenumbers.cycles import (
     generic_le,
-    germ_subset,
     intersection_number,
     lambda_numbers,
     mpr_bounds,
@@ -14,6 +13,7 @@ from lenumbers.cycles import (
     slice_check,
 )
 from lenumbers.groebner import Ideal
+from lenumbers.local import germ_in_hyperplane
 from lenumbers.poly import Frame, Polynomial, apply_frame, parse
 
 from _corpus import CORPUS
@@ -135,38 +135,36 @@ def test_mpr_bounds():
     assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 13, 10)
 
 
-def test_germ_subset_sees_through_units():
-    I = Ideal([parse("x+x^2", XY)], vars=XY)
+def test_germ_in_hyperplane_sees_through_units():
+    # V(x + x^2) is the line x = 0 and, away from the origin, x = -1
+    assert germ_in_hyperplane(Ideal([parse("x+x^2", XY)], vars=XY), 0)
     J = Ideal([parse("x", XY)], vars=XY)
-    assert germ_subset(I, J)
-    assert germ_subset(J, I)
-    K = Ideal([parse("y", XY)], vars=XY)
-    assert not germ_subset(J, K)
+    assert germ_in_hyperplane(J, 0)
+    assert not germ_in_hyperplane(J, 1)
 
 
-def test_germ_subset_with_components_away_from_the_origin():
+def test_germ_in_hyperplane_with_components_away_from_the_origin():
     def ideal(*texts):
         return Ideal([parse(t, XY) for t in texts], vars=XY)
 
-    # V(I) is the line x = 0 and, away from the origin, the line y = 1
-    I = ideal("x*(y-1)")
-    # V(J) is the line x = 0; no generator of J lies in I
-    J = ideal("x*(y-2)", "x*(y+3)")
-    # V(J2) is the two points (0, 0) and (0, 1)
-    J2 = ideal("x", "y*(y-1)")
-    # V(I3) is the origin and the line x = 1
-    I3 = ideal("x*(x-1)", "y*(x-1)")
+    # each ideal with whether its germ lies in V(x), then in V(y)
     cases = [
-        (I, J, True),
-        (I, J2, False),
-        (J2, I, True),
-        (I3, J2, True),
-        (I3, ideal("x+y", "y^2"), True),
-        (J, I3, False),
-        (ideal("y*(x-1)"), I3, False),
+        # the line x = 0 and, away from the origin, the line y = 1
+        (ideal("x*(y-1)"), (True, False)),
+        # the line x = 0; x is not in the ideal
+        (ideal("x*(y-2)", "x*(y+3)"), (True, False)),
+        # the two points (0, 0) and (0, 1)
+        (ideal("x", "y*(y-1)"), (True, True)),
+        # the origin and the line x = 1
+        (ideal("x*(x-1)", "y*(x-1)"), (True, True)),
+        (ideal("x+y", "y^2"), (True, True)),
+        (ideal("y*(x-1)"), (False, True)),
     ]
-    for A, B, want in cases:
-        assert germ_subset(A, B) is want == germ_subset_by_saturation(A, B), (A, B)
+    for A, want in cases:
+        for i in (0, 1):
+            x_i = Ideal([Polynomial.var_index(i, XY)], vars=XY)
+            got = germ_in_hyperplane(A, i)
+            assert got is want[i] == germ_subset_by_saturation(A, x_i), (A, i)
 
 
 def test_sigma_ideal_gens_are_the_partials():

@@ -23,6 +23,7 @@ import lenumbers.cycles as cycles
 from lenumbers.checks import check_leiom
 from lenumbers.cycles import LeRecord, _lambda_trials, generic_le, lambda_numbers
 from lenumbers.groebner import Ideal
+from lenumbers.local import germ_in_hyperplane
 from lenumbers.poly import Frame, iomdine, parse
 
 from _corpus import CORPUS, SEEDS, generic_record
@@ -274,15 +275,15 @@ def _spy_answers(monkeypatch) -> list:
 
 
 def _first_gate_fails(monkeypatch) -> None:
-    """Make the first germ_subset call of check_leiom, the critical-locus
-    gate of its first coefficient, fail."""
+    """Make the first germ_in_hyperplane call of check_leiom, the
+    critical-locus gate of its first coefficient, fail."""
     calls = []
 
-    def first_fails(I, J):
-        calls.append(J)
-        return len(calls) > 1 and cycles.germ_subset(I, J)
+    def first_fails(I, i):
+        calls.append(i)
+        return len(calls) > 1 and germ_in_hyperplane(I, i)
 
-    monkeypatch.setattr(checks, "germ_subset", first_fails)
+    monkeypatch.setattr(checks, "germ_in_hyperplane", first_fails)
 
 
 @needs_workers
