@@ -30,13 +30,16 @@ standard basis of the localization at the origin, cached beside the global
 bases of the ideal.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
-Gebauer-Moeller form of the product and chain criteria.  Intersections and
-saturations by a principal ideal run on the kernel's integer form: each
-generator of t*I + (1 - t)*J, or of I + (1 - t*g), is built as a primitive
-integer polynomial whose one extra last exponent is t, the kernel eliminates
-t under a block order, and only the t-free elements come back, as monic
-polynomials in the original variables.  Saturating by an ideal intersects
-the saturations by its generators.
+Gebauer-Moeller form of the product and chain criteria.  Saturating I by
+J = (g_1, ..., g_r) is one elimination on the kernel's integer form: each
+generator of I + (1 - t_1*g_1 - ... - t_r*g_r) is built as a primitive
+integer polynomial whose r extra last exponents are the t_i, and the kernel
+eliminates them under a block order whose rows on the original variables
+are grevlex.  The t-free elements of its reduced basis are therefore the
+reduced grevlex basis of the saturation; they come back as a Basis, cached
+on the returned Ideal, whose generators are its monic elements.  The
+integer elements of a Basis serve every later computation on its ideal, so
+kernel output is converted to Fractions only where it is read.
 
 The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
 tests/_oracles.py.
@@ -48,12 +51,12 @@ import heapq
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .orders import GREVLEX, LAZARD, MonomialOrder, Rows, elimination_order
-from .poly import ExpVec, Polynomial
+from .poly import ExpVec, Polynomial, _trusted
 
 IPoly = dict[ExpVec, int]
 PPoly = dict[int, int]  # packed monomial -> int coefficient
@@ -73,10 +76,8 @@ def _to_int(p: Polynomial) -> IPoly:
     """Primitive integer form of p (content stripped; ideal-equivalent)."""
     if not p.terms:
         return {}
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return _strip({e: int(c * denom) for e, c in p.terms.items()})
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    return _strip({e: c.numerator * (denom // c.denominator) for e, c in p.terms.items()})
 
 
 def _strip(d: dict) -> dict:
@@ -384,9 +385,11 @@ def _groebner_ints(gens: list[IPoly], order: MonomialOrder) -> list[IPoly]:
 
 
 class Basis:
-    """A reduced Groebner (or standard) basis with its order."""
+    """A reduced Groebner (or standard) basis with its order.  It keeps the
+    kernel's primitive integer elements; the monic Fraction ones are built
+    when they are first read."""
 
-    __slots__ = ("vars", "order", "elements", "_red", "_packed")
+    __slots__ = ("vars", "order", "_red", "_elements", "_packed")
 
     def __init__(self, vars: tuple[str, ...], order: MonomialOrder, ints: list[IPoly]):
         self.vars = tuple(vars)
@@ -396,18 +399,30 @@ class Basis:
         for d in ints:
             lm = max(d, key=keyf)
             self._red.append((lm, d[lm], d))
-        # monic: the order's leading coefficient is 1
-        self.elements = tuple(
-            Polynomial(self.vars, {e: Fraction(v, lc) for e, v in d.items()})
-            for _, lc, d in self._red
-        )
+        self._elements: tuple[Polynomial, ...] | None = None
         self._packed: tuple[_Packing, list[Reducer]] | None = None
+
+    @property
+    def elements(self) -> tuple[Polynomial, ...]:
+        if self._elements is None:
+            # monic: the order's leading coefficient is 1
+            self._elements = tuple(
+                _trusted(self.vars, {e: Fraction(v, lc) for e, v in d.items()})
+                for _, lc, d in self._red
+            )
+        return self._elements
+
+    @property
+    def ints(self) -> list[IPoly]:
+        """The elements as primitive integer polynomials whose leading
+        coefficient is positive."""
+        return [d for _, _, d in self._red]
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._red)
 
     def leading_monomials(self) -> tuple[ExpVec, ...]:
         return tuple(lm for lm, _, _ in self._red)
@@ -418,7 +433,7 @@ class Basis:
 
         def run(width: int) -> IPoly:
             if self._packed is None or self._packed[0].width < width:
-                ints = [g for _, _, g in self._red]
+                ints = self.ints
                 pk = _packing(self.order, len(self.vars), max(width, _width(ints)))
                 self._packed = pk, [pk.reducer(pk.pack_poly(g)) for g in ints]
             pk, red = self._packed
@@ -480,11 +495,18 @@ class Ideal:
             basis = self._cache.get(order)
         if basis is not None:
             return basis
-        ints = _groebner_ints([_to_int(g) for g in self.gens], order)
-        basis = Basis(self.vars, order, ints)
+        basis = Basis(self.vars, order, _groebner_ints(self._gen_ints(), order))
         with self._lock:
             self._cache.setdefault(order, basis)
         return basis
+
+    def _gen_ints(self) -> list[IPoly]:
+        """The generators in primitive integer form, read off the cached
+        grevlex basis when they are its elements (_eliminate_t)."""
+        basis = self._cache.get(GREVLEX)
+        if basis is not None and basis._elements is self.gens:
+            return basis.ints
+        return [_to_int(g) for g in self.gens]
 
     def contains(self, p: Polynomial) -> bool:
         return self.groebner().contains(p)
@@ -494,8 +516,9 @@ class Ideal:
 
 
 def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal:
-    """Unpickle an Ideal: its generators were checked and deduplicated when
-    it was built, so only the basis cache and its lock are made anew."""
+    """An Ideal of generators that are already checked and deduplicated,
+    with an empty basis cache and its own lock: unpickling, and the
+    elements of a reduced basis (_eliminate_t)."""
     I = object.__new__(Ideal)
     I.vars = vars
     I.gens = gens
@@ -507,45 +530,51 @@ def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal
 # -- eliminations -----------------------------------------------------------
 
 
-def _eliminate_t(gens: list[IPoly], vars: tuple[str, ...]) -> Ideal:
-    """The ideal of the integer polynomials gens, whose last exponent is an
-    auxiliary variable t, intersected with the ring of vars."""
-    order = elimination_order((len(vars),))
-    keyf = order.key(len(vars) + 1)
-    kept = []
-    for d in _groebner_ints(gens, order):
-        if all(e[-1] == 0 for e in d):
-            lc = d[max(d, key=keyf)]
-            kept.append(Polynomial(vars, {e[:-1]: Fraction(v, lc) for e, v in d.items()}))
-    return Ideal(kept, vars=vars)
+def _eliminate_t(gens: list[IPoly], vars: tuple[str, ...], r: int) -> Ideal:
+    """The ideal of the integer polynomials gens, whose last r exponents
+    are auxiliary variables t_1..t_r, intersected with the ring of vars.
+
+    The block order puts the grevlex rows of vars below those of the t
+    block (orders.py), so on t-free monomials it is grevlex: the t-free
+    elements of the reduced basis are the reduced grevlex basis of the
+    result, which comes back in its cache."""
+    n = len(vars)
+    kept = [
+        {e[:n]: v for e, v in d.items()}
+        for d in _groebner_ints(gens, elimination_order(tuple(range(n, n + r))))
+        if not any(any(e[n:]) for e in d)
+    ]
+    basis = Basis(vars, GREVLEX, kept)
+    I = _restore_ideal(basis.elements, vars)
+    I._cache[GREVLEX] = basis
+    return I
 
 
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J as (t*I + (1 - t)*J) meet k[x]."""
-    if I.vars != J.vars:
-        raise ValueError("variable mismatch")
-    if I.is_zero or J.is_zero:
-        return Ideal((), vars=I.vars)
-    gens = [{e + (1,): v for e, v in _to_int(g).items()} for g in I.gens]
-    for g in J.gens:
-        d = _to_int(g)
-        gens.append({**{e + (0,): v for e, v in d.items()}, **{e + (1,): -v for e, v in d.items()}})
-    return _eliminate_t(gens, I.vars)
+def _saturate(I: Ideal, gs: Sequence[Polynomial]) -> Ideal:
+    """I : (gs)^infinity as (I + (1 - t_1*g_1 - ... - t_r*g_r)) meet k[x].
+    Each g_i enters in its integer form, a unit multiple of it.  The result
+    does not depend on the generators of I, so a grevlex basis of I already
+    at hand stands in for them: it is the cheaper input."""
+    n, r = len(I.vars), len(gs)
+    pad = (0,) * r
+    basis = I._cache.get(GREVLEX)
+    ints = I._gen_ints() if basis is None else basis.ints
+    gens = [{e + pad: v for e, v in d.items()} for d in ints]
+    last = {(0,) * (n + r): 1}
+    for i, g in enumerate(gs):
+        t = pad[:i] + (1,) + pad[i + 1 :]
+        last.update({e + t: -v for e, v in _to_int(g).items()})
+    gens.append(last)
+    return _eliminate_t(gens, I.vars, r)
 
 
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
-    """I : g^infinity as (I + (1 - t*g)) meet k[x]."""
+    """I : g^infinity, saturate's case of one generator."""
     if g.is_zero:
         raise ValueError("cannot saturate by the zero polynomial")
     if g.vars != I.vars:
         raise ValueError("variable mismatch")
-    gens = [{e + (0,): v for e, v in _to_int(p).items()} for p in I.gens]
-    d = _to_int(g)
-    e0, v0 = next(iter(d.items()))
-    r = g.terms[e0] / v0  # g = r*d, so 1 - t*g is primitive as den - num*t*d
-    one = (0,) * (len(I.vars) + 1)
-    gens.append({one: r.denominator, **{e + (1,): -r.numerator * v for e, v in d.items()}})
-    return _eliminate_t(gens, I.vars)
+    return _saturate(I, (g,))
 
 
 def _saturate_coordinate(I: Ideal, i: int) -> Ideal:
@@ -566,39 +595,35 @@ def _saturate_coordinate(I: Ideal, i: int) -> Ideal:
         return I
     rest = [k for k in range(n) if k != i]
     hgens = []
-    for g in I.gens:
-        d = _to_int(g)
+    for d in I._gen_ints():
         deg = max(map(sum, d))
         hgens.append({tuple([e[k] for k in rest]) + (deg - sum(e), e[i]): v for e, v in d.items()})
     gens = []
     for d in _groebner_ints(hgens, GREVLEX):
         low = min(e[-1] for e in d)
         # homogeneous, so dropping w merges no two terms
-        gens.append(
-            Polynomial(I.vars, {e[:i] + (e[-1] - low,) + e[i : n - 1]: v for e, v in d.items()})
-        )
+        terms = {e[:i] + (e[-1] - low,) + e[i : n - 1]: Fraction(v) for e, v in d.items()}
+        gens.append(_trusted(I.vars, terms))
     return Ideal(gens, vars=I.vars)
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """I : J^infinity.
+    """I : J^infinity, for J = (g_1, ..., g_r), as the one elimination
+    (I + (1 - t_1*g_1 - ... - t_r*g_r)) meet k[x] (Rabinowitsch's trick).
 
-    A primary component survives exactly when some generator of J avoids its
-    radical, so the saturation is the intersection of the saturations by the
-    individual generators, each of which is one elimination."""
+    Let K be that ideal of k[x, t].  If f*g_i^N is in I for every i, every
+    term of f*(t_1*g_1 + ... + t_r*g_r)^(rN) is, and f is congruent to it
+    modulo K, so f is in K.  Conversely, substituting t_i = 1/g_i and t_j = 0
+    (j != i) in f = a + b*(1 - sum t_j*g_j), a in I[t], and clearing
+    denominators puts g_i^N*f in I for each i."""
     if I.vars != J.vars:
         raise ValueError("variable mismatch")
-    gens = [g for g in J.gens if not g.is_zero]
-    if not gens:
+    if J.is_zero:
         # J^infinity is the zero ideal; I : (0) is the whole ring
         return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
     if I.is_zero:
         return I
-    result: Ideal | None = None
-    for g in gens:
-        part = _saturate_principal(I, g)
-        result = part if result is None else intersect(result, part)
-    return result
+    return _saturate(I, J.gens)
 
 
 def radical_member(g: Polynomial, I: Ideal) -> bool:

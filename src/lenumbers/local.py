@@ -251,14 +251,13 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
     if N <= _SHORTCUT_MAX and all(basis.contains(x**N) for x in xs):
         return N
-    K = Ideal(basis.elements, vars=I.vars)
     for g in _ladder(I.vars):
         Kg = Ideal([*basis.elements, g], vars=I.vars).groebner(GREVLEX)
         N2 = _colength(Kg)
         if N2 == 0:
             return 0
         if all(Kg.contains(x**N2) for x in xs):
-            return N - _colength(_saturate_principal(K, g).groebner(GREVLEX))
+            return N - _colength(_saturate_principal(I, g).groebner(GREVLEX))
 
 
 def hs_multiplicity(I: Ideal) -> int:

@@ -9,7 +9,8 @@ chosen so that this tuple determines e, which makes the order total:
   exponent wins;
 - lex: the unit rows;
 - an elimination order: the grevlex rows of the eliminated block, then
-  those of the other variables;
+  those of the other variables, so that on monomials free of the block it
+  is grevlex (an elimination hands on its grevlex basis, groebner.py);
 - the Lazard order on k[x, t] (t the last variable): total degree, then t,
   then the grevlex rows of the x part; setting t = 1 turns it into the
   local order, which is how Ideal.groebner (groebner.py) computes

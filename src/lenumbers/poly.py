@@ -45,7 +45,8 @@ class Polynomial:
         clean: dict[ExpVec, Fraction] = {}
         n = len(self.vars)
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c == 0:
                 continue
             if len(exps) != n or any(e < 0 for e in exps):
@@ -60,7 +61,7 @@ class Polynomial:
     def __reduce__(self):
         # the terms were validated when self was built; the guard above
         # rules out the default slot restore
-        return (_restore_polynomial, (self.vars, self.terms))
+        return (_trusted, (self.vars, self.terms))
 
     # -- constructors ------------------------------------------------------
 
@@ -159,6 +160,10 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
+        if len(self.terms) == 1:
+            # a monomial, such as the x_i^N of a membership test: one term
+            ((e, c),) = self.terms.items()
+            return _trusted(self.vars, {tuple(k * n for k in e): c**n})
         result = Polynomial.constant(1, self.vars)
         base = self
         while n:
@@ -193,7 +198,7 @@ class Polynomial:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Polynomial(self.vars, out)
+        return _trusted(self.vars, out)
 
     def compose_linear(
         self, rows: Sequence[Sequence[Fraction]], new_vars: Sequence[str]
@@ -266,7 +271,7 @@ class Polynomial:
             if e[i]:
                 continue
             out[e[:i] + e[i + 1 :]] = c
-        return Polynomial(new_vars, out)
+        return _trusted(new_vars, out)
 
     # -- printing ----------------------------------------------------------
 
@@ -301,9 +306,12 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, vars={self.vars})"
 
 
-def _restore_polynomial(vars: tuple[str, ...], terms: dict[ExpVec, Fraction]) -> Polynomial:
-    """Unpickle a Polynomial: its terms were validated when it was built, so
-    the slots are set as they are, without __init__'s checks."""
+def _trusted(vars: tuple[str, ...], terms: dict[ExpVec, Fraction]) -> Polynomial:
+    """The Polynomial with these slots, set as they are, without __init__'s
+    checks.  The caller vouches for them: vars is a nonempty tuple, and
+    terms maps exponent tuples of its length to nonzero Fractions.  Serves
+    unpickling, partial, set_var_zero, a monomial's power and the Groebner
+    kernel's results."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "vars", vars)
     object.__setattr__(p, "terms", terms)

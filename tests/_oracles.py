@@ -20,6 +20,10 @@ evidence:
   dimension of I : J^infinity at the origin off its Lazard standard basis,
   where the library saturates by one generator of J at a time and asks
   only whether the origin is on each.
+- saturate_by_generators intersects the saturations by the generators of
+  J, one principal elimination each, joined by intersect, where the
+  library saturates by all of them in one elimination with an auxiliary
+  variable per generator.
 - framed_polar_ideal saturates the partials of h = apply_frame(f, frame)
   in the frame's own coordinates, where the library saturates whichever of
   those and f's own partials are the smaller and carries the result
@@ -43,8 +47,9 @@ from lenumbers.groebner import (
     IPoly,
     _divides,
     _strip,
+    _eliminate_t,
+    _saturate_principal,
     _to_int,
-    intersect,
     saturate,
 )
 from lenumbers.local import (
@@ -278,6 +283,32 @@ def m_primary_colength(I: Ideal) -> int:
 
 
 # -- global ideal operations ---------------------------------------------
+
+
+def intersect(I: Ideal, J: Ideal) -> Ideal:
+    """I cap J as (t*I + (1 - t)*J) meet k[x]."""
+    if I.vars != J.vars:
+        raise ValueError("variable mismatch")
+    if I.is_zero or J.is_zero:
+        return Ideal((), vars=I.vars)
+    gens = [{e + (1,): v for e, v in _to_int(g).items()} for g in I.gens]
+    for g in J.gens:
+        d = _to_int(g)
+        gens.append({**{e + (0,): v for e, v in d.items()}, **{e + (1,): -v for e, v in d.items()}})
+    return _eliminate_t(gens, I.vars, 1)
+
+
+def saturate_by_generators(I: Ideal, J: Ideal) -> Ideal:
+    """I : J^infinity as the intersection of the saturations by the
+    generators of J, one elimination each: a primary component survives
+    exactly when some generator of J avoids its radical."""
+    if J.is_zero:
+        return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
+    result: Ideal | None = None
+    for g in J.gens:
+        part = _saturate_principal(I, g)
+        result = part if result is None else intersect(result, part)
+    return result
 
 
 def _divide_exact(p: Polynomial, g: Polynomial) -> Polynomial:

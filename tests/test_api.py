@@ -51,6 +51,25 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def test_unchecked_polynomials_are_built_only_by_poly_and_groebner():
+    # poly._trusted skips Polynomial.__init__'s checks; only partial,
+    # set_var_zero, unpickling and the Groebner kernel vouch for their terms
+    users = set()
+    for path in sorted(Path(lenumbers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "_trusted" in names:
+                users.add(path.name)
+    assert users == {"poly.py", "groebner.py"}
+
+
 def _private_definitions(tree: ast.Module) -> set[str]:
     """Module-level private names a module defines, dunders aside."""
     names = set()

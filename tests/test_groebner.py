@@ -6,7 +6,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenumbers.cycles import sigma_ideal
+import lenumbers.cycles as cycles
+import lenumbers.groebner as groebner
+from lenumbers.cycles import generic_le, sigma_ideal
 from lenumbers.groebner import (
     Ideal,
     _divides,
@@ -14,7 +16,6 @@ from lenumbers.groebner import (
     _saturate_coordinate,
     _saturate_principal,
     _to_int,
-    intersect,
     radical_member,
     saturate,
 )
@@ -22,7 +23,7 @@ from lenumbers.orders import GREVLEX, LEX
 from lenumbers.poly import Polynomial, iomdine, parse
 
 from _corpus import CORPUS, generic_record
-from _oracles import dim, ideal_quotient
+from _oracles import dim, ideal_quotient, intersect, saturate_by_generators
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -131,7 +132,7 @@ def test_membership():
 
 def test_eliminate_twisted_cubic():
     # x - t^2 and y - t^3 as integer polynomials, t the last exponent
-    J = _eliminate_t([{(1, 0, 0): 1, (0, 0, 2): -1}, {(0, 1, 0): 1, (0, 0, 3): -1}], XY)
+    J = _eliminate_t([{(1, 0, 0): 1, (0, 0, 2): -1}, {(0, 1, 0): 1, (0, 0, 3): -1}], XY, 1)
     assert J.vars == XY
     assert J.groebner().contains(parse("y^2-x^3", XY))
     assert len(J.groebner().elements) == 1
@@ -148,25 +149,111 @@ def _sympy_elimination(polys, u, xs):
     }
 
 
+def _sympy_expr(p):
+    return sympy.sympify(str(p).replace("^", "**"), dict(zip(TT0, sympy.symbols(TT0))))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_eliminations_match_sympy(seed):
     # the ring's variables are named t and t0; three variables make
     # sympy's lex bases too slow for a unit test
     I = _random_ideal(seed, vars=TT0, ngens=2)
     J = _random_ideal(seed + 1000, vars=TT0, ngens=1)
-    xs = sympy.symbols(TT0)
     u = sympy.Dummy("u")
-    names = dict(zip(TT0, xs))
-    expr = lambda p: sympy.sympify(str(p).replace("^", "**"), names)
+    # a non-integral content: the elimination runs on g's integer form, a
+    # unit multiple of it
+    g = J.gens[0] * Fraction(2, 3)
     theirs = _sympy_elimination(
-        [u * expr(g) for g in I.gens] + [(1 - u) * expr(g) for g in J.gens], u, xs
+        [_sympy_expr(p) for p in I.gens] + [1 - u * _sympy_expr(g)], u, sympy.symbols(TT0)
+    )
+    assert _sympy_set(_saturate_principal(I, g).groebner().elements, TT0, "grevlex") == theirs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_intersect_oracle_matches_sympy(seed):
+    I = _random_ideal(seed, vars=TT0, ngens=2)
+    J = _random_ideal(seed + 1000, vars=TT0, ngens=1)
+    u = sympy.Dummy("u")
+    theirs = _sympy_elimination(
+        [u * _sympy_expr(g) for g in I.gens] + [(1 - u) * _sympy_expr(g) for g in J.gens],
+        u,
+        sympy.symbols(TT0),
     )
     assert _sympy_set(intersect(I, J).groebner().elements, TT0, "grevlex") == theirs
-    # a non-integral content gives 1 - t*g an integer form whose constant
-    # term is not 1
-    g = J.gens[0] * Fraction(2, 3)
-    theirs = _sympy_elimination([expr(p) for p in I.gens] + [1 - u * expr(g)], u, xs)
-    assert _sympy_set(_saturate_principal(I, g).groebner().elements, TT0, "grevlex") == theirs
+
+
+def _same_basis(mine: Ideal, theirs: Ideal):
+    assert mine.groebner(GREVLEX).elements == theirs.groebner(GREVLEX).elements
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_saturate_matches_saturation_by_generators(seed):
+    # one to four generators in J: one auxiliary variable each
+    I = _random_ideal(seed + 2000, ngens=2)
+    J = _random_ideal(seed + 3000, ngens=1 + seed % 4)
+    expected = saturate_by_generators(I, J)
+    _same_basis(saturate(I, J), expected)
+    # with a grevlex basis of I at hand, the elimination starts from it
+    I.groebner(GREVLEX)
+    _same_basis(saturate(I, J), expected)
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_corpus_saturations_match_saturation_by_generators(member, monkeypatch, serial_trials):
+    calls = []
+
+    def recording(I, J):
+        result = saturate(I, J)
+        calls.append((I, J, result))
+        return result
+
+    monkeypatch.setattr(cycles, "saturate", recording)
+    # every frame trial of generic_le runs lambda_numbers in this process
+    generic_le(member.poly, seed=0, trials=3)
+    # an isolated plane curve saturates nothing
+    assert calls or (member.s == 0 and len(member.vars) == 2)
+    for I, J, result in calls:
+        _same_basis(result, saturate_by_generators(I, J))
+
+
+def _buchberger_runs(monkeypatch) -> list:
+    runs = []
+    kernel = groebner._buchberger
+
+    def counting(gens, pk):
+        runs.append(len(gens))
+        return kernel(gens, pk)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    return runs
+
+
+def _carries_its_basis(result: Ideal, monkeypatch):
+    """result's reduced grevlex basis is the one computed from its
+    generators, and it comes from the elimination, with no kernel run."""
+    runs = _buchberger_runs(monkeypatch)
+    carried = result.groebner(GREVLEX)
+    assert runs == []
+    assert carried.elements == Ideal(result.gens, vars=result.vars).groebner(GREVLEX).elements
+    assert carried.ints == [_to_int(g) for g in result.gens]
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_saturations_carry_their_grevlex_basis(seed, monkeypatch):
+    I = _random_ideal(seed + 4000, ngens=2)
+    J = _random_ideal(seed + 5000, ngens=1 + seed % 3)
+    _carries_its_basis(saturate(I, J), monkeypatch)
+    _carries_its_basis(_saturate_principal(I, J.gens[0]), monkeypatch)
+
+
+def test_corpus_saturations_carry_their_grevlex_basis(monkeypatch):
+    rec = generic_record("cuspsheet", 0)
+    P = sigma_ideal(rec.h)
+    z = Polynomial.var_index(0, P.vars)
+    _carries_its_basis(_saturate_principal(P, z), monkeypatch)
+    m = Ideal([Polynomial.var_index(i, P.vars) for i in range(len(P.vars))], vars=P.vars)
+    _carries_its_basis(saturate(Ideal(P.gens[1:], vars=P.vars), m), monkeypatch)
 
 
 def test_intersect_principal():

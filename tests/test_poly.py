@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenumbers.groebner as groebner
+import lenumbers.poly as poly
+from lenumbers.cycles import lambda_numbers, sigma_ideal
+from lenumbers.groebner import _saturate_coordinate, _to_int
 from lenumbers.poly import (
     Frame,
     ParseError,
@@ -238,3 +242,47 @@ def test_pickle_round_trip():
     assert q == p
     assert hash(q) == h
     assert q.vars == p.vars
+
+
+@pytest.mark.parametrize("text, vars", [
+    ("z^2+(x^2+y^3)^2", XYZ),
+    ("y^3-x^4-t^2*x^2", ("t", "x", "y")),
+    ("w^2+(x^2+y^3)^2", ("x", "y", "z", "w")),
+])
+def test_unchecked_polynomials_are_the_checked_ones(text, vars, monkeypatch):
+    # every Polynomial that partial, set_var_zero and the kernel build
+    # without __init__'s checks, and the integer forms the bases keep
+    built, bases = [], []
+    trusted = poly._trusted
+
+    def recording(vars, terms):
+        p = trusted(vars, terms)
+        built.append(p)
+        return p
+
+    monkeypatch.setattr(poly, "_trusted", recording)
+    monkeypatch.setattr(groebner, "_trusted", recording)
+    init = groebner.Basis.__init__
+
+    def keeping(self, *args):
+        init(self, *args)
+        bases.append(self)
+
+    monkeypatch.setattr(groebner.Basis, "__init__", keeping)
+    f = parse(text, vars)
+    lambda_numbers(f, Frame.random(len(vars), 0))
+    _saturate_coordinate(sigma_ideal(f), 0)
+    f.partial(0).set_var_zero(1)
+    for basis in bases:
+        assert basis.ints == [_to_int(p) for p in basis.elements]
+    monkeypatch.undo()
+    assert built and bases
+    for p in built:
+        assert type(p.vars) is tuple
+        assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+        assert all(len(e) == len(p.vars) and min(e) >= 0 for e in p.terms)
+        q = Polynomial(p.vars, p.terms)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert (str(p), repr(p)) == (str(q), repr(q))
+        assert pickle.loads(pickle.dumps(p)) == q
