@@ -19,11 +19,11 @@ from typing import Iterable
 
 from .cycles import (
     LeRecord,
+    Undefined,
     _answer,
     _beside,
     generic_le,
     lambda_numbers,
-    mpr_bounds,
     sigma_ideal,
     slice_lam0,
     why_not_singular,
@@ -65,15 +65,16 @@ def _rep(name: str, lhs, rhs, holds: bool, **ctx) -> IneqReport:
 
 def _le_record(f, frame, seed, trials, bound):
     """(record, generic flag); record is None when f is not singular at the
-    origin or no frame gave defined Le numbers.  Every other error of
-    generic_le, a bad trials or bound among them, propagates."""
+    origin, with or without a frame, or no frame gave defined Le numbers
+    (Undefined).  Every other error, a bad trials or bound among them,
+    propagates."""
+    if why_not_singular(f) is not None:
+        return None, frame is None
     if frame is not None:
         return lambda_numbers(f, frame), False
-    if why_not_singular(f) is not None:
-        return None, True
     try:
         return generic_le(f, seed=seed, trials=trials, bound=bound), True
-    except RuntimeError:
+    except Undefined:
         return None, True
 
 
@@ -531,9 +532,12 @@ def check_newmpr_and_easybound(
 ) -> list[IneqReport]:
     """Bundle of polar-ratio and multiplicity bounds.
 
-    The two upper bounds on the maximum polar ratio (mpr_bounds) are
-    checked for consistency against its multiplicity lower bound, and,
-    when that bound exceeds 1, the smaller upper bound against mult f."""
+    The maximum polar ratio lies between lower and both upper bounds:
+    upper_simple = lambda^0 + 1 always, and upper_polar = lambda^0 -
+    gamma^1 + 2 when gamma^1 is defined and equals mult Gamma^1.  Under
+    that hypothesis with gamma^1 != 0, lower is mult f, else 1.  Both upper
+    bounds are checked against lower, and, when lower exceeds 1, the
+    smaller one against mult f."""
     rec, generic = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("newmpr", "Le numbers undefined")]
@@ -541,11 +545,18 @@ def check_newmpr_and_easybound(
     if lam0 is None:
         return [_skip("newmpr", "lambda^0 undefined for this frame")]
     mult = f.mult_origin()
-    mb = mpr_bounds(f, rec.frame, rec)
+    g1 = rec.gamma1()
+    # mult Gamma^1, read once: the hypothesis needs it when gamma^1 is
+    # defined, easybound when lambda^0 != 0
+    mg1 = rec.polar_mult(1) if g1 is not None or lam0 != 0 else None
+    hyp = g1 is not None and g1 == mg1
+    lower = mult if hyp and g1 != 0 else 1
+    upper_simple = lam0 + 1
+    upper_polar = lam0 - g1 + 2 if hyp else None
     ctx = dict(
-        lower=mb.lower,
-        upper_simple=mb.upper_simple,
-        upper_polar=mb.upper_polar,
+        lower=lower,
+        upper_simple=upper_simple,
+        upper_polar=upper_polar,
         lam=rec.lam,
         gam=rec.gam,
         mult=mult,
@@ -553,21 +564,18 @@ def check_newmpr_and_easybound(
         generic=generic,
     )
     reports = [
-        _rep("newmpr-simple", mb.upper_simple, mb.lower, mb.upper_simple >= mb.lower, **ctx)
+        _rep("newmpr-simple", upper_simple, lower, upper_simple >= lower, **ctx)
     ]
-    probe = mb.upper_simple
-    if mb.upper_polar is not None:
-        reports.append(
-            _rep("newmpr-polar", mb.upper_polar, mb.lower, mb.upper_polar >= mb.lower, **ctx)
-        )
-        probe = min(probe, mb.upper_polar)
-    if mb.lower > 1:
+    probe = upper_simple
+    if upper_polar is not None:
+        reports.append(_rep("newmpr-polar", upper_polar, lower, upper_polar >= lower, **ctx))
+        probe = min(probe, upper_polar)
+    if lower > 1:
         # the multiplicity hypothesis held with a nonzero gamma^1, so the
         # ratio itself must reach mult f, and so must its smaller upper bound
         reports.append(_rep("mprmult", probe, mult, probe >= mult, **ctx))
     if lam0 != 0:
         d0 = rec.h.partial(0)
-        mg1 = rec.polar_mult(1)
         if mg1 is not None and not d0.is_zero:
             mid = mg1 * d0.mult_origin()
             low = mg1 * (mult - 1)

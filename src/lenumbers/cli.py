@@ -34,6 +34,7 @@ from .checks import (
     search_dagger,
 )
 from .cycles import (
+    Undefined,
     _validate_singular,
     generic_le,
     lambda_numbers,
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     except (_InputError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RuntimeError as e:
+    except Undefined as e:
         print(f"undefined: {e}", file=sys.stderr)
         return 2
 

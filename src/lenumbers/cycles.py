@@ -546,12 +546,18 @@ def _lambda_trials(f: Polynomial, frames: Sequence[Frame], s: int) -> list[LeRec
     return out
 
 
+class Undefined(RuntimeError):
+    """The quantity asked for is mathematically undefined for this input:
+    generic_le found no frame with defined Le numbers."""
+
+
 def generic_le(
     f: Polynomial, seed: int = 0, trials: int = 3, bound: int = 10
 ) -> LeRecord:
     """Generic Le numbers: lexicographic minimum (lambda^s first, relative
     polar numbers as tie-break) over random frames, the coefficient bound
-    doubling when every frame in a round comes out undefined.
+    doubling when every frame in a round comes out undefined; Undefined
+    after five such rounds.
 
     The frames of a round are computed at once, in up to min(trials - 1,
     usable CPUs) forked worker processes and the caller (_lambda_trials),
@@ -575,7 +581,7 @@ def generic_le(
         if best is not None:
             return best
         b *= 2
-    raise RuntimeError(
+    raise Undefined(
         "no frame gave defined Le numbers; raise the coefficient bound or trials"
     )
 
@@ -601,12 +607,6 @@ def slice_lam0(h: Polynomial) -> int | None:
     return lambda_numbers(h0).lam[0]
 
 
-def _record_in(frame: Frame, rec: LeRecord) -> None:
-    """ValueError when rec was computed in another frame."""
-    if rec.frame.matrix != frame.matrix:
-        raise ValueError("the Le record was computed in another frame")
-
-
 def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
     """Cross-check lambda^0 of f|V(z0) against gamma^1 + lambda^1, read off
     rec, the Le record of f in frame.
@@ -614,7 +614,8 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
     The two sides agree for frames generic enough that both are defined;
     None when either side is undefined (nothing to compare).  A record
     computed in another frame is a ValueError."""
-    _record_in(frame, rec)
+    if rec.frame.matrix != frame.matrix:
+        raise ValueError("the Le record was computed in another frame")
     if len(f.vars) == 1:
         return None
     g1 = rec.gamma1()
@@ -631,30 +632,3 @@ def polar_mult(f: Polynomial, frame: Frame, j: int) -> int | None:
     """Multiplicity at the origin of the polar cycle Gamma^j; 0 when it
     misses the origin, None when it is not j-dimensional there."""
     return _cycle_mult(polar_ideal(f, frame, j), j)
-
-
-@dataclass(frozen=True)
-class MprBounds:
-    """Bounds on the maximum polar ratio: lower <= mpr <= both uppers.
-    upper_polar needs gamma^1 defined and equal to mult Gamma^1; under the
-    same hypothesis with gamma^1 != 0 the lower bound is mult f, else 1."""
-
-    lower: int
-    upper_simple: int
-    upper_polar: int | None
-
-
-def mpr_bounds(f: Polynomial, frame: Frame, rec: LeRecord) -> MprBounds:
-    """The bounds from rec, the Le record of f in frame; ValueError when rec
-    was computed in another frame."""
-    _record_in(frame, rec)
-    lam0 = rec.lam[0]
-    if lam0 is None:
-        raise ValueError("lambda^0 undefined for this frame")
-    g1 = rec.gamma1()
-    hyp = g1 is not None and g1 == rec.polar_mult(1)
-    return MprBounds(
-        lower=f.mult_origin() if (hyp and g1 != 0) else 1,
-        upper_simple=lam0 + 1,
-        upper_polar=lam0 - g1 + 2 if hyp else None,
-    )

@@ -6,7 +6,7 @@ in the same packed-monomial Buchberger kernel as every global basis and
 caches them beside those (groebner.py).  Dimension, colength and
 multiplicity, of the local ring as of the global quotient, are read off the
 Hilbert series of a leading ideal (_hilbert), whose numerator we compute by
-the usual pivot recursion N(I) = N(I + (x)) + T*N(I : x).
+the pivot recursion N(I) = N(I + (x^d)) + T^d*N(I : x^d).
 
 local_dim asks Lazard only when V(I) has a component of dimension two or
 more somewhere.  D, the dimension of V(I), is read off the grevlex leading
@@ -75,7 +75,14 @@ def _poly_mul_one_minus_t(coeffs: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 def hilbert_numerator(lms, nvars: int) -> tuple[int, ...]:
     """Coefficients of N(T) where the Hilbert series of k[x]/(lms) is
-    N(T) / (1-T)^nvars."""
+    N(T) / (1-T)^nvars.
+
+    Pure powers x_i^d give the product of their (1 - T^d).  Otherwise a
+    generator e in several variables gives the pivot x_i^d with x_i its
+    first variable and d = e_i, and N(I) = N(I + (x_i^d)) + T^d*N(I :
+    x_i^d).  e leaves I + (x_i^d) and loses x_i in I : x_i^d, and no
+    generator gains a variable, so the recursion is no deeper than the
+    generators have variables in all, whatever their exponents."""
     memo: dict[frozenset, tuple[int, ...]] = {}
 
     def rec(gens: frozenset[ExpVec]) -> tuple[int, ...]:
@@ -92,25 +99,22 @@ def hilbert_numerator(lms, nvars: int) -> tuple[int, ...]:
             for e in gens:
                 out = _poly_mul_one_minus_t(out, sum(e))
         else:
-            counts = [0] * nvars
-            for e in mixed:
-                for i, x in enumerate(e):
-                    if x:
-                        counts[i] += 1
-            piv = max(range(nvars), key=lambda i: (counts[i], -i))
-            unit = tuple(1 if i == piv else 0 for i in range(nvars))
-            plus = _minimalize(frozenset(gens) | {unit})
+            e = min(mixed)
+            piv = next(i for i, x in enumerate(e) if x)
+            d = e[piv]
+            power = tuple(d if i == piv else 0 for i in range(nvars))
+            plus = _minimalize(gens | {power})
             colon = _minimalize(
                 frozenset(
-                    tuple(x - 1 if i == piv and x else x for i, x in enumerate(e))
-                    for e in gens
+                    tuple(max(x - d, 0) if i == piv else x for i, x in enumerate(g))
+                    for g in gens
                 )
             )
             a = rec(plus)
             b = rec(colon)
             out = tuple(
-                (a[i] if i < len(a) else 0) + (b[i - 1] if 0 < i <= len(b) else 0)
-                for i in range(max(len(a), len(b) + 1))
+                (a[i] if i < len(a) else 0) + (b[i - d] if d <= i < d + len(b) else 0)
+                for i in range(max(len(a), len(b) + d))
             )
         memo[gens] = out
         return out

@@ -361,13 +361,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals."""
 
-    def __init__(self, tokens, vars):
+    def __init__(self, tokens, vars, end: int):
         self.tokens = tokens
         self.i = 0
         self.vars = tuple(vars)
+        self.end = end
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", "", -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", "", self.end)
 
     def take(self):
         t = self.peek()
@@ -439,7 +440,10 @@ class _Parser:
                 k3, v3, p3 = self.take()
                 if k3 != "num":
                     raise ParseError(f"expected denominator at position {p3}")
-                return Polynomial.constant(Fraction(num, int(v3)), self.vars)
+                den = int(v3)
+                if den == 0:
+                    raise ParseError(f"zero denominator at position {p3}")
+                return Polynomial.constant(Fraction(num, den), self.vars)
             return Polynomial.constant(num, self.vars)
         if kind == "name":
             if val not in self.vars:
@@ -460,7 +464,11 @@ def parse(text: str, vars: Sequence[str]) -> Polynomial:
     for name in names:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise ParseError(f"bad variable name {name!r}")
-    return _Parser(_tokenize(text), names).parse()
+    tokens = _tokenize(text)
+    try:
+        return _Parser(tokens, names, len(text)).parse()
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
 
 
 # -- frames ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from lenumbers.checks import (
     check_teissier,
     search_dagger,
 )
-from lenumbers.cycles import sigma_ideal
+from lenumbers.cycles import LeRecord, sigma_ideal
 from lenumbers.groebner import Ideal
 from lenumbers.local import germ_in_hyperplane, local_dim
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
@@ -54,8 +54,20 @@ def test_checker_errors_propagate_instead_of_skipping(monkeypatch):
         check_funbound(BN0, seed=0)
 
 
+def test_recursion_error_is_not_undefined(monkeypatch):
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(checks, "generic_le", deep)
+    with pytest.raises(RecursionError):
+        check_funbound(BN0, seed=0)
+
+
 def test_checker_skips_nonsingular_input_and_rejects_bad_arguments():
     (rep,) = check_funbound(parse("x+y^2", ("x", "y")))
+    assert rep.skipped
+    # the same with a frame given
+    (rep,) = check_funbound(parse("x+y^2", ("x", "y")), frame=Frame.identity(2))
     assert rep.skipped
     with pytest.raises(ValueError, match="trials"):
         check_funbound(BN0, trials=0)
@@ -343,6 +355,32 @@ def test_newmpr_skips_degenerate_frame():
         BY_NAME["cylinder"].poly, frame=Frame.identity(3)
     )
     assert rep.skipped
+
+
+def test_newmpr_reads_mult_gamma1_at_most_once(monkeypatch, serial_trials):
+    real = LeRecord.polar_mult
+    calls = []
+
+    def spy(rec, j):
+        if j == 1:
+            calls.append(rec)
+        return real(rec, j)
+
+    monkeypatch.setattr(LeRecord, "polar_mult", spy)
+    for m in CORPUS:
+        rec = generic_record(m.name, 0)
+        g1 = rec.gamma1()
+        calls.clear()
+        check_newmpr_and_easybound(m.poly, seed=0)
+        # the polar hypothesis reads it when gamma^1 is defined, easybound
+        # when lambda^0 != 0
+        assert len(calls) == (g1 is not None or rec.lam[0] != 0), m.name
+    # gamma^1 is defined on the whole corpus; with it undefined and
+    # lambda^0 = 0 (cylinder) nothing needs mult Gamma^1
+    monkeypatch.setattr(LeRecord, "gamma1", lambda rec: None)
+    calls.clear()
+    check_newmpr_and_easybound(BY_NAME["cylinder"].poly, seed=0)
+    assert calls == []
 
 
 def test_teissier_check():

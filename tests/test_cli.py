@@ -153,6 +153,30 @@ def test_parse_error_reports_position(capsys):
     assert "error:" in err and "6" in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("x^2+1/0*y", "zero denominator at position 6"), ("(x", "')' at position 2")],
+)
+def test_parse_error_names_the_position(capsys, text, where):
+    code, out, err = run(capsys, "compute", "milnor", "-f", text, "--vars", "x,y")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and where in err
+    assert "Traceback" not in err
+
+
+def test_deep_nesting_is_bad_input_not_undefined(capsys):
+    text = "(" * 600 + "x" + ")" * 600 + "^2+y^2"
+    code, _, err = run(capsys, "compute", "milnor", "-f", text, "--vars", "x,y")
+    assert code == 1
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_milnor_number_with_a_large_exponent(capsys):
+    # x^(k+1)*y + y^3 has mu = 3k + 1
+    code, out, _ = run(capsys, "compute", "milnor", "-f", "x^1201*y+y^3", "--vars", "x,y")
+    assert (code, out) == (0, "mu = 3601\n")
+
+
 def test_bad_variable_list(capsys):
     code, _, err = run(capsys, "compute", "mult", "-f", "x", "--vars", "x,x")
     assert code == 1

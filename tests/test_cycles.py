@@ -6,7 +6,6 @@ from lenumbers.cycles import (
     generic_le,
     intersection_number,
     lambda_numbers,
-    mpr_bounds,
     polar_ideal,
     polar_mult,
     sigma_ideal,
@@ -129,10 +128,10 @@ def test_slice_cross_check():
 
 
 def test_mpr_bounds():
-    mb = mpr_bounds(BN0, Frame.identity(3), lambda_numbers(BN0))
-    assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 3, 3)
-    mb = mpr_bounds(TX, Frame.identity(3), lambda_numbers(TX))
-    assert (mb.lower, mb.upper_simple, mb.upper_polar) == (3, 13, 10)
+    for f, bounds in ((BN0, (3, 3, 3)), (TX, (3, 13, 10))):
+        for rep in check_newmpr_and_easybound(f, frame=Frame.identity(3)):
+            ctx = rep.context
+            assert (ctx["lower"], ctx["upper_simple"], ctx["upper_polar"]) == bounds
 
 
 def test_germ_in_hyperplane_sees_through_units():
@@ -229,14 +228,6 @@ def test_slice_check_refuses_a_record_from_another_frame():
     # the same coordinates under another seed are the same frame
     assert slice_check(BN0, Frame(Frame.identity(3).matrix, seed=5), rec) is True
     assert slice_check(BN0, Frame.identity(3), rec) is True
-
-
-def test_mpr_bounds_refuses_a_record_from_another_frame():
-    rec = lambda_numbers(BN0, Frame.identity(3))
-    with pytest.raises(ValueError):
-        mpr_bounds(BN0, Frame.random(3, 1), rec)
-    same = Frame(Frame.identity(3).matrix, seed=5)
-    assert mpr_bounds(BN0, same, rec) == mpr_bounds(BN0, Frame.identity(3), rec)
 
 
 SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))

@@ -18,7 +18,7 @@ from lenumbers.local import (
     local_standard_basis,
     truncated_quotient_dim,
 )
-from lenumbers.orders import LOCAL
+from lenumbers.orders import GREVLEX, LOCAL
 from lenumbers.poly import Polynomial, iomdine, parse, restrict
 
 from _corpus import CORPUS
@@ -183,6 +183,27 @@ def test_local_membership_divides_by_units():
 
 def test_hilbert_numerator_unit_ideal():
     assert sum(hilbert_numerator([(0, 0)], 2)) == 0
+
+
+def test_hilbert_numerator_of_a_large_exponent():
+    N = hilbert_numerator([(1200, 1), (0, 2), (1201, 0)], 2)
+    # 1 - T^2 - 2*T^1201 + 2*T^1202, by inclusion-exclusion over the lcms
+    assert N[:3] == (1, 0, -1) and N[1201:] == (-2, 2)
+    assert not any(N[3:1201])
+
+
+def test_colength_agrees_with_the_staircase_count():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        # a pure power of every variable makes the ideal zero-dimensional
+        lms = [tuple(rng.randint(1, 6) if i == k else 0 for i in range(n)) for k in range(n)]
+        lms += [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        lms = [e for e in lms if any(e)]
+        vars = tuple(f"x{i}" for i in range(n))
+        gens = [Polynomial(vars, {e: 1}) for e in lms]
+        basis = Ideal(gens, vars=vars).groebner(GREVLEX)
+        assert local._colength(basis) == standard_monomial_count(lms, n), lms
 
 
 def test_standard_monomial_count_infinite():
