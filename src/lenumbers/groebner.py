@@ -5,8 +5,8 @@ ints, kept primitive (content 1).  Scaling a generator does not change the
 ideal, so Buchberger, reduction and membership all work on integer data; the
 API converts back to monic Fraction polynomials at the boundary.
 
-Inside the Buchberger kernel (_buchberger, _nf, _spoly, _update_pairs,
-_interreduce) a monomial is one packed int (Monagan and Pearce, "Sparse
+Inside the Buchberger kernel (_buchberger, _complete, _nf, _spoly,
+_update_pairs, _interreduce) a monomial is one packed int (Monagan and Pearce, "Sparse
 polynomial division using a heap", JSC 2011).  A _Packing lays out the
 weight rows of the order (orders.py) in the high fields, holding row . e,
 and the exponents in the low fields; each field has a guard bit above its
@@ -31,15 +31,17 @@ bases of the ideal.
 
 Buchberger uses normal-pair selection (smallest lcm in the order) with the
 Gebauer-Moeller form of the product and chain criteria.  Saturating I by
-J = (g_1, ..., g_r) is one elimination on the kernel's integer form: each
-generator of I + (1 - t_1*g_1 - ... - t_r*g_r) is built as a primitive
-integer polynomial whose r extra last exponents are the t_i, and the kernel
-eliminates them under a block order whose rows on the original variables
-are grevlex.  The t-free elements of its reduced basis are therefore the
-reduced grevlex basis of the saturation; they come back as a Basis, cached
-on the returned Ideal, whose generators are its monic elements.  The
-integer elements of a Basis serve every later computation on its ideal, so
-kernel output is converted to Fractions only where it is read.
+J = (g_1, ..., g_r) eliminates t from I + (f), f = 1 - t_1*g_1 - ... -
+t_r*g_r, on the kernel's integer form, under a block order whose rows on
+the original variables are grevlex: I's reduced grevlex basis, padded with
+r zero exponents, is a Groebner basis of I*k[x, t] in it, and a
+signature-based completion (_complete) adds f.  f is a nonzerodivisor
+modulo I*k[x, t], so no reduction in the completion ends in zero.  The
+t-free elements of the result, interreduced, are the reduced grevlex basis
+of the saturation; they come back as a Basis, cached on the returned
+Ideal, whose generators are its monic elements.  The integer elements of a
+Basis serve every later computation on its ideal, so kernel output is
+converted to Fractions only where it is read.
 
 The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
 tests/_oracles.py.
@@ -60,8 +62,9 @@ from .poly import ExpVec, Polynomial, _trusted
 
 IPoly = dict[ExpVec, int]
 PPoly = dict[int, int]  # packed monomial -> int coefficient
-# (lm, lm's low part, lc, the other terms, bounding monomial) of a reducer
-Reducer = tuple[int, int, int, list[tuple[int, int]], int]
+# (lm, lm's low part, lc, the other terms, bounding monomial, signature) of
+# a reducer; the signature is -1 except for the elements a completion adds
+Reducer = tuple[int, int, int, list[tuple[int, int]], int, int]
 
 # value bits of a field: at least _MIN_WIDTH, and _ROOM more than the
 # input's largest degree needs, so that a run whose degrees grow to 8 times
@@ -139,9 +142,6 @@ class _Packing:
         mask = self.mask
         return tuple([(m >> s) & mask for s in self.shifts])
 
-    def lcm(self, a: int, b: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
-
     def divides(self, a: int, b: int) -> bool:
         guard = self.guard
         return ((b | guard) - (a & self.low)) & guard == guard
@@ -152,11 +152,11 @@ class _Packing:
     def unpack_poly(self, d: PPoly) -> IPoly:
         return {self.unpack(m): c for m, c in d.items()}
 
-    def reducer(self, d: PPoly) -> Reducer:
+    def reducer(self, d: PPoly, sig: int = -1) -> Reducer:
         lm = max(d)
         # the monomial of the largest exponents bounds every field of d
         env = self.pack(tuple(map(max, zip(*map(self.unpack, d)))))
-        return lm, lm & self.low, d[lm], [(e, v) for e, v in d.items() if e != lm], env
+        return lm, lm & self.low, d[lm], [(e, v) for e, v in d.items() if e != lm], env, sig
 
 
 @lru_cache(maxsize=64)
@@ -190,13 +190,19 @@ def _positive(d: PPoly) -> PPoly:
 # -- the Buchberger kernel, on packed monomials --------------------------------
 
 
-def _nf(h: PPoly, red: list[Reducer], pk: _Packing) -> PPoly:
+def _nf(h: PPoly, red: list[Reducer], pk: _Packing, sig: int | None = None) -> PPoly | None:
     """Fully reduced fraction-free normal form of h against red: the
     primitive remainder, a positive multiple of h modulo the ideal of red.
 
     The working terms sit in a coefficient dict plus a lazy-deletion heap
     of negated monomials; every reduction only introduces monomials below
     the one being cleared, so the heap pops each monomial's terms in order.
+
+    Given h's signature sig (_complete), a reducer that carries a signature
+    is used only where its shifted signature is below sig, so the remainder
+    keeps sig.  None means the remainder's leading monomial is a multiple
+    of a reducer's whose shifted signature is sig: an element of signature
+    sig is already in red, and the remainder is redundant.
     """
     guard, guards = pk.guard, pk.guards
     push, pop = heapq.heappush, heapq.heappop
@@ -216,9 +222,13 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing) -> PPoly:
         if not c:
             continue
         mg = m | guard
-        for lm, lm_low, lc, tail, env in red:
+        for lm, lm_low, lc, tail, env, s in red:
             if (mg - lm_low) & guard == guard:
                 shift = m - lm
+                # each field of s + shift is below twice the width, so it
+                # compares with sig exactly even where it would overflow
+                if s >= 0 and sig is not None and s + shift >= sig:
+                    continue
                 if (env + shift) & guards:
                     raise _Overflow
                 if lc != 1:
@@ -241,6 +251,11 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing) -> PPoly:
                         del coeff[ee]
                 break
         else:
+            if not out and sig is not None and any(
+                s >= 0 and s + m - lm == sig and (mg - lm_low) & guard == guard
+                for lm, lm_low, _, _, _, s in red
+            ):
+                return None
             out.append((m, c, F, G))
         steps += 1
         if steps % 16 == 0 and coeff:
@@ -255,7 +270,7 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing) -> PPoly:
 def _spoly(a: Reducer, b: Reducer, lcm: int, pk: _Packing) -> PPoly:
     """The S-polynomial of a and b, whose leading monomials have lcm lcm;
     the leading terms cancel and are left out."""
-    (lma, _, lca, ta, enva), (lmb, _, lcb, tb, envb) = a, b
+    (lma, _, lca, ta, enva, _), (lmb, _, lcb, tb, envb, _) = a, b
     sa = lcm - lma
     sb = lcm - lmb
     if (enva + sa) & pk.guards or (envb + sb) & pk.guards:
@@ -273,12 +288,15 @@ def _spoly(a: Reducer, b: Reducer, lcm: int, pk: _Packing) -> PPoly:
     return _strip(out)
 
 
-def _update_pairs(lms: list[int], pairs: dict, queue: list, t: int, pk: _Packing):
-    """Gebauer-Moeller update after appending element t.  pairs maps each
-    live pair (i, j) to its lcm; queue holds (lcm, j, i) for selection."""
-    lmt = lms[t]
-    divides = pk.divides
-    lcms = [pk.lcm(lms[i], lmt) for i in range(t)]
+def _update_pairs(
+    lms: list[int], exps: list[ExpVec], pairs: dict, queue: list, t: int, pk: _Packing
+):
+    """Gebauer-Moeller update after appending element t, whose leading
+    monomial is lms[t] packed and exps[t] unpacked.  pairs maps each live
+    pair (i, j) to its lcm; queue holds (lcm, j, i) for selection."""
+    lmt, et = lms[t], exps[t]
+    pack, divides = pk.pack, pk.divides
+    lcms = [pack(tuple(map(max, exps[i], et))) for i in range(t)]
     # chain criterion against the new element: drop old pairs whose lcm is
     # reachable through t
     drop = [
@@ -288,21 +306,23 @@ def _update_pairs(lms: list[int], pairs: dict, queue: list, t: int, pk: _Packing
     ]
     for p in drop:
         del pairs[p]
-    # group the new pairs by lcm; the product criterion kills a whole group,
-    # divisibility between groups kills the larger one, one representative
-    # survives per group.  A proper divisor is smaller in every global
-    # order, so going up the order meets the divisors of a group first.
+    # group the new pairs by lcm; divisibility between groups kills the
+    # larger one, the product criterion kills a whole group, one
+    # representative survives per group.  A group the product criterion
+    # kills still kills its multiples (Becker and Weispfenning, UPDATE).  A
+    # proper divisor is smaller in every global order, so going up the
+    # order meets the divisors of a group first.
     groups: dict[int, list[int]] = {}
     for i in range(t):
         groups.setdefault(lcms[i], []).append(i)
     kept_lcms: list[int] = []
     for l in sorted(groups):
-        members = groups[l]
-        if any(l == lms[i] + lmt for i in members):
-            continue
         if any(divides(k, l) for k in kept_lcms):
             continue
         kept_lcms.append(l)
+        members = groups[l]
+        if any(l == lms[i] + lmt for i in members):
+            continue
         pairs[(members[0], t)] = l
         heapq.heappush(queue, (l, t, members[0]))
 
@@ -311,6 +331,7 @@ def _buchberger(gens: list[PPoly], pk: _Packing) -> list[PPoly]:
     G: list[Reducer] = []
     polys: list[PPoly] = []
     lms: list[int] = []
+    exps: list[ExpVec] = []  # the leading monomials unpacked, for lcms
     pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple[int, int, int]] = []
 
@@ -319,7 +340,8 @@ def _buchberger(gens: list[PPoly], pk: _Packing) -> list[PPoly]:
         G.append(pk.reducer(d))
         polys.append(d)
         lms.append(G[-1][0])
-        _update_pairs(lms, pairs, queue, len(G) - 1, pk)
+        exps.append(pk.unpack(lms[-1]))
+        _update_pairs(lms, exps, pairs, queue, len(G) - 1, pk)
 
     for d in gens:
         add(d)
@@ -351,6 +373,85 @@ def _interreduce(polys: list[PPoly], G: list[Reducer], pk: _Packing) -> list[PPo
             result.append(_positive(r))
     result.sort(key=max, reverse=True)
     return result
+
+
+def _complete(
+    basis: list[PPoly], f: PPoly, pk: _Packing
+) -> tuple[list[PPoly], list[Reducer]]:
+    """A Groebner basis of the ideal of basis + (f), given that basis is a
+    Groebner basis and f a nonzerodivisor modulo its ideal: its elements and
+    their reducers, basis's own first.
+
+    A signature-based completion (Faugere, "A new efficient algorithm for
+    computing Groebner bases without reduction to zero (F5)", ISSAC 2002;
+    Eder and Roune, "Signature rewriting in Groebner basis computation",
+    ISSAC 2013).  Each new element is a + u*f with a in the ideal of basis;
+    its signature is lm(u), a packed monomial, and the elements of basis
+    sit below every signature.  Signatures T of S-pairs are taken smallest
+    first, each once:
+    - a pair whose two shifted signatures are equal is singular and makes
+      none;
+    - T is a syzygy's when the leading monomial of an element of basis
+      divides it, or a reduction of a signature that divides it ended in
+      zero.  u*f in the ideal of basis puts u in it, because f is a
+      nonzerodivisor, so the first test finds every syzygy and no
+      reduction ends in zero;
+    - otherwise the newest element r whose signature divides T stands for
+      all of T: (T / sig r)*r is reduced by _nf under the signature T, and
+      joins unless an element of signature T already covers it."""
+    guards, divides, pack = pk.guards, pk.divides, pk.pack
+    red = [pk.reducer(d) for d in basis]
+    polys = list(basis)
+    exps = [pk.unpack(g[0]) for g in red]
+    syz = [g[0] for g in red]
+    queue: list[int] = []
+
+    def syzygy(T: int) -> bool:
+        return any(divides(z, T) for z in syz)
+
+    def add(d: PPoly, sig: int):
+        d = _positive(d)
+        red.append(pk.reducer(d, sig))
+        polys.append(d)
+        lm = red[-1][0]
+        e = pk.unpack(lm)
+        for j, (lmj, _, _, _, _, sj) in enumerate(red[:-1]):
+            l = pack(tuple(map(max, exps[j], e)))
+            T = sig + l - lm
+            if sj >= 0:
+                Tj = sj + l - lmj
+                if Tj == T:
+                    continue
+                T = max(T, Tj)
+            if T & guards:
+                raise _Overflow
+            if not syzygy(T):
+                heapq.heappush(queue, T)
+        exps.append(e)
+
+    if syzygy(0):
+        return polys, red  # basis holds a unit
+    add(_nf(f, red, pk, 0), 0)
+    last = -1
+    while queue:
+        T = heapq.heappop(queue)
+        if T == last:
+            continue
+        last = T
+        if syzygy(T):
+            continue
+        k = len(red) - 1
+        while not divides(red[k][5], T):
+            k -= 1
+        m = T - red[k][5]
+        if (red[k][4] + m) & guards:
+            raise _Overflow
+        h = _nf({e + m: v for e, v in polys[k].items()}, red, pk, T)
+        if h:
+            add(h, T)
+        elif h is not None:
+            syz.append(T)
+    return polys, red
 
 
 def _groebner_ints(gens: list[IPoly], order: MonomialOrder) -> list[IPoly]:
@@ -502,7 +603,7 @@ class Ideal:
 
     def _gen_ints(self) -> list[IPoly]:
         """The generators in primitive integer form, read off the cached
-        grevlex basis when they are its elements (_eliminate_t)."""
+        grevlex basis when they are its elements."""
         basis = self._cache.get(GREVLEX)
         if basis is not None and basis._elements is self.gens:
             return basis.ints
@@ -518,7 +619,7 @@ class Ideal:
 def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal:
     """An Ideal of generators that are already checked and deduplicated,
     with an empty basis cache and its own lock: unpickling, and the
-    elements of a reduced basis (_eliminate_t)."""
+    elements of a reduced basis (_saturate)."""
     I = object.__new__(Ideal)
     I.vars = vars
     I.gens = gens
@@ -530,42 +631,42 @@ def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal
 # -- eliminations -----------------------------------------------------------
 
 
-def _eliminate_t(gens: list[IPoly], vars: tuple[str, ...], r: int) -> Ideal:
-    """The ideal of the integer polynomials gens, whose last r exponents
-    are auxiliary variables t_1..t_r, intersected with the ring of vars.
-
-    The block order puts the grevlex rows of vars below those of the t
-    block (orders.py), so on t-free monomials it is grevlex: the t-free
-    elements of the reduced basis are the reduced grevlex basis of the
-    result, which comes back in its cache."""
-    n = len(vars)
-    kept = [
-        {e[:n]: v for e, v in d.items()}
-        for d in _groebner_ints(gens, elimination_order(tuple(range(n, n + r))))
-        if not any(any(e[n:]) for e in d)
-    ]
-    basis = Basis(vars, GREVLEX, kept)
-    I = _restore_ideal(basis.elements, vars)
-    I._cache[GREVLEX] = basis
-    return I
-
-
 def _saturate(I: Ideal, gs: Sequence[Polynomial]) -> Ideal:
-    """I : (gs)^infinity as (I + (1 - t_1*g_1 - ... - t_r*g_r)) meet k[x].
-    Each g_i enters in its integer form, a unit multiple of it.  The result
-    does not depend on the generators of I, so a grevlex basis of I already
-    at hand stands in for them: it is the cheaper input."""
+    """I : (gs)^infinity as (I + (f)) meet k[x], f = 1 - t_1*g_1 - ... -
+    t_r*g_r, each g_i in its integer form, a unit multiple of it.
+
+    The block order that eliminates t puts the grevlex rows of x below
+    those of t (orders.py), so on t-free monomials it is grevlex: I's
+    reduced grevlex basis, cached or computed here, is a Groebner basis of
+    I*k[x, t] in it.  f is 1 modulo (t), so it is a nonzerodivisor modulo
+    I*k[x, t], and _complete adds it with no reduction to zero.  The t-free
+    elements of the result, interreduced, are the reduced grevlex basis of
+    the saturation, which comes back in its cache."""
     n, r = len(I.vars), len(gs)
     pad = (0,) * r
     basis = I._cache.get(GREVLEX)
     ints = I._gen_ints() if basis is None else basis.ints
     gens = [{e + pad: v for e, v in d.items()} for d in ints]
-    last = {(0,) * (n + r): 1}
+    f = {(0,) * (n + r): 1}
     for i, g in enumerate(gs):
         t = pad[:i] + (1,) + pad[i + 1 :]
-        last.update({e + t: -v for e, v in _to_int(g).items()})
-    gens.append(last)
-    return _eliminate_t(gens, I.vars, r)
+        f.update({e + t: -v for e, v in _to_int(g).items()})
+    order = elimination_order(tuple(range(n, n + r)))
+
+    def run(width: int) -> list[IPoly]:
+        pk = _packing(order, n + r, width)
+        packed = [pk.pack_poly(d) for d in gens]
+        if basis is None:
+            packed = _buchberger(packed, pk)
+        polys, red = _complete(packed, pk.pack_poly(f), pk)
+        tfree = [k for k, (lm, *_) in enumerate(red) if not any(pk.unpack(lm)[n:])]
+        kept = _interreduce([polys[k] for k in tfree], [red[k] for k in tfree], pk)
+        return [{e[:n]: v for e, v in pk.unpack_poly(d).items()} for d in kept]
+
+    result = Basis(I.vars, GREVLEX, _widening(_width([*gens, f]), run))
+    J = _restore_ideal(result.elements, I.vars)
+    J._cache[GREVLEX] = result
+    return J
 
 
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:

@@ -183,7 +183,8 @@ class Polynomial:
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            # equal polynomials have equal supports: hash no coefficient
+            h = hash((self.vars, frozenset(self.terms)))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -20,10 +20,14 @@ evidence:
   dimension of I : J^infinity at the origin off its Lazard standard basis,
   where the library saturates by one generator of J at a time and asks
   only whether the origin is on each.
+- saturate_by_elimination hands the generators of I and
+  1 - t_1*g_1 - ... - t_r*g_r to one Buchberger run under the block order
+  that eliminates t (_eliminate_t), where the library completes a grevlex
+  basis of I by the last one alone, with signatures.
 - saturate_by_generators intersects the saturations by the generators of
   J, one principal elimination each, joined by intersect, where the
-  library saturates by all of them in one elimination with an auxiliary
-  variable per generator.
+  library saturates by all of them at once, with an auxiliary variable
+  per generator.
 - framed_polar_ideal saturates the partials of h = apply_frame(f, frame)
   in the frame's own coordinates, where the library saturates whichever of
   those and f's own partials are the smaller and carries the result
@@ -46,9 +50,9 @@ from lenumbers.groebner import (
     Ideal,
     IPoly,
     _divides,
+    _groebner_ints,
+    _restore_ideal,
     _strip,
-    _eliminate_t,
-    _saturate_principal,
     _to_int,
     saturate,
 )
@@ -60,7 +64,7 @@ from lenumbers.local import (
     local_dim,
     local_standard_basis,
 )
-from lenumbers.orders import GREVLEX, LOCAL, ExpVec
+from lenumbers.orders import GREVLEX, LOCAL, ExpVec, elimination_order
 from lenumbers.poly import Frame, Polynomial, apply_frame
 
 
@@ -285,6 +289,26 @@ def m_primary_colength(I: Ideal) -> int:
 # -- global ideal operations ---------------------------------------------
 
 
+def _eliminate_t(gens: list[IPoly], vars: tuple[str, ...], r: int) -> Ideal:
+    """The ideal of the integer polynomials gens, whose last r exponents
+    are auxiliary variables t_1..t_r, intersected with the ring of vars.
+
+    The block order puts the grevlex rows of vars below those of the t
+    block (orders.py), so on t-free monomials it is grevlex: the t-free
+    elements of the reduced basis are the reduced grevlex basis of the
+    result, which comes back in its cache."""
+    n = len(vars)
+    kept = [
+        {e[:n]: v for e, v in d.items()}
+        for d in _groebner_ints(gens, elimination_order(tuple(range(n, n + r))))
+        if not any(any(e[n:]) for e in d)
+    ]
+    basis = Basis(vars, GREVLEX, kept)
+    I = _restore_ideal(basis.elements, vars)
+    I._cache[GREVLEX] = basis
+    return I
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J as (t*I + (1 - t)*J) meet k[x]."""
     if I.vars != J.vars:
@@ -298,6 +322,23 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return _eliminate_t(gens, I.vars, 1)
 
 
+def saturate_by_elimination(I: Ideal, J: Ideal) -> Ideal:
+    """I : J^infinity as (I + (1 - t_1*g_1 - ... - t_r*g_r)) meet k[x], the
+    generators of I and the last one handed together to one Buchberger
+    run under the block order."""
+    if J.is_zero:
+        return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
+    n, r = len(I.vars), len(J.gens)
+    pad = (0,) * r
+    gens = [{e + pad: v for e, v in _to_int(g).items()} for g in I.gens]
+    last = {(0,) * (n + r): 1}
+    for i, g in enumerate(J.gens):
+        t = pad[:i] + (1,) + pad[i + 1 :]
+        last.update({e + t: -v for e, v in _to_int(g).items()})
+    gens.append(last)
+    return _eliminate_t(gens, I.vars, r)
+
+
 def saturate_by_generators(I: Ideal, J: Ideal) -> Ideal:
     """I : J^infinity as the intersection of the saturations by the
     generators of J, one elimination each: a primary component survives
@@ -306,7 +347,7 @@ def saturate_by_generators(I: Ideal, J: Ideal) -> Ideal:
         return Ideal([Polynomial.constant(1, I.vars)], vars=I.vars)
     result: Ideal | None = None
     for g in J.gens:
-        part = _saturate_principal(I, g)
+        part = saturate_by_elimination(I, Ideal([g], vars=I.vars))
         result = part if result is None else intersect(result, part)
     return result
 

@@ -13,7 +13,7 @@ from lenumbers.cycles import (
 )
 from lenumbers.groebner import Ideal
 from lenumbers.local import germ_in_hyperplane
-from lenumbers.poly import Frame, Polynomial, apply_frame, parse
+from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
 from _corpus import CORPUS
 from _oracles import framed_polar_ideal, germ_subset_by_saturation, polar_curve_mult
@@ -231,6 +231,19 @@ def test_slice_check_refuses_a_record_from_another_frame():
 
 
 SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
+
+
+def test_le_iomdine_transform_of_the_surface():
+    # the surface in its generic frame plus z0^m, m = 3: the shift identity
+    # lambda^1 = (m - 1)*lambda^2_h and the bound lambda^0 <= lambda^0_h +
+    # (m - 1)*lambda^1_h
+    rec = generic_le(SURFACE, seed=0)
+    assert rec.lam == (14, 3, 2)
+    g, gframe = iomdine(rec.h, 3, 1)
+    t = lambda_numbers(g, gframe, s=1)
+    assert (t.lam, t.gam) == ((10, 4), (2,))
+    assert t.lam[1] == (3 - 1) * rec.lam[2] == 4
+    assert t.lam[0] <= rec.lam[0] + (3 - 1) * rec.lam[1] == 20
 
 
 def _same_polar_ideals(f, frame):

@@ -12,7 +12,6 @@ from lenumbers.cycles import generic_le, sigma_ideal
 from lenumbers.groebner import (
     Ideal,
     _divides,
-    _eliminate_t,
     _saturate_coordinate,
     _saturate_principal,
     _to_int,
@@ -23,7 +22,14 @@ from lenumbers.orders import GREVLEX, LEX
 from lenumbers.poly import Polynomial, iomdine, parse
 
 from _corpus import CORPUS, generic_record
-from _oracles import dim, ideal_quotient, intersect, saturate_by_generators
+from _oracles import (
+    _eliminate_t,
+    dim,
+    ideal_quotient,
+    intersect,
+    saturate_by_elimination,
+    saturate_by_generators,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -214,6 +220,79 @@ def test_corpus_saturations_match_saturation_by_generators(member, monkeypatch, 
     assert calls or (member.s == 0 and len(member.vars) == 2)
     for I, J, result in calls:
         _same_basis(result, saturate_by_generators(I, J))
+
+
+@pytest.mark.parametrize("seed", range(52))
+def test_saturate_matches_the_classical_elimination(seed):
+    # the seeds of test_saturate_matches_saturation_by_generators and more;
+    # r = 1..4 auxiliary variables
+    I = _random_ideal(seed + 2000, ngens=2)
+    J = _random_ideal(seed + 3000, ngens=1 + seed % 4)
+    expected = saturate_by_elimination(I, J)
+    _same_basis(saturate(I, J), expected)
+    # the completion starts from I's cached grevlex basis
+    I.groebner(GREVLEX)
+    _same_basis(saturate(I, J), expected)
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_no_reduction_of_a_completion_ends_in_zero(member, monkeypatch, serial_trials):
+    # 1 - t_1*g_1 - ... - t_r*g_r is a nonzerodivisor modulo I*k[x, t], so
+    # the syzygy criterion finds every syzygy before it is reduced.  The
+    # reductions of _complete are the _nf calls that carry a signature.
+    results = []
+    nf = groebner._nf
+
+    def recording(h, red, pk, sig=None):
+        r = nf(h, red, pk, sig)
+        if sig is not None:
+            results.append(r)
+        return r
+
+    monkeypatch.setattr(groebner, "_nf", recording)
+    generic_le(member.poly, seed=0, trials=3)
+    assert results or (member.s == 0 and len(member.vars) == 2)
+    assert {} not in results
+
+
+def test_saturation_signatures_overflow_and_widen(monkeypatch):
+    # with no spare bits the fields hold degree 255, enough for the input;
+    # the signatures of the completion reach degree 2*199 and overflow
+    monkeypatch.setattr(groebner, "_ROOM", 0)
+    widths = []
+    complete = groebner._complete
+
+    def recording(basis, f, pk):
+        try:
+            return complete(basis, f, pk)
+        except groebner._Overflow:
+            widths.append(pk.width)
+            raise
+
+    monkeypatch.setattr(groebner, "_complete", recording)
+    I = Ideal([P("x^199*y-y^2", XY), P("y^3", XY)], vars=XY)
+    J = Ideal([P("x", XY)], vars=XY)
+    result = saturate(I, J)
+    assert widths == [8]
+    _same_basis(result, saturate_by_elimination(I, J))
+    assert [str(g) for g in result.gens] == ["y"]
+
+
+def test_pairs_killed_by_the_product_criterion_still_kill_their_multiples():
+    # lm x*y^2, y and then x: the pair with y has lcm x*y, coprime leading
+    # monomials; it divides x*y^2, so the pair with x*y^2 goes too
+    pk = groebner._packing(GREVLEX, 3, 8)
+    exps = [(1, 2, 0), (0, 1, 0), (1, 0, 0)]
+    lms = [pk.pack(e) for e in exps]
+    pairs = {(0, 1): pk.pack((1, 2, 0))}
+    queue = []
+    groebner._update_pairs(lms, exps, pairs, queue, 2, pk)
+    assert pairs == {(0, 1): pk.pack((1, 2, 0))}
+    assert queue == []
+    # generators with these leading monomials, in this order: x = y = -z,
+    # so x*y^2 + z = z - z^3
+    B = Ideal([P("x*y^2+z"), P("y+z"), P("x+z")]).groebner(GREVLEX)
+    assert [str(g) for g in B.elements] == ["z^3 - z", "x + z", "y + z"]
 
 
 def _buchberger_runs(monkeypatch) -> list:

