@@ -11,7 +11,10 @@ form is added to the ideal.  Before the last slice the curve is saturated
 by the maximal ideal, and any improper slice makes the answer None
 (undefined) rather than a wrong integer.  The final step counts a local
 colength, which is exact because the last slice cuts a saturated (hence
-Cohen-Macaulay) curve by a nonzerodivisor.  When the final ideal is
+Cohen-Macaulay) curve by a nonzerodivisor.  The last slice starts from
+the grevlex basis of the ideal it cuts, the saturated curve's or, for one
+form, the input's when it carries one (groebner._slice,
+groebner._slice_coordinate).  When the final ideal is
 zero-dimensional globally, as it usually is, that colength is counted
 with grevlex bases alone (local.truncated_quotient_dim): a
 zero-dimensional quotient splits into one local algebra per point (Cox,
@@ -29,7 +32,12 @@ apply_frame(L_i, frame) for L_i = sum_k B[k][i] df/dx_k.  apply_frame is a
 ring automorphism and saturation commutes with automorphisms, so the
 saturation of the L_i, carried through the frame, is Gamma^j.  f is sparse
 and h usually dense: the surface z^2+(w^4+x^3+y^2)^2 has 7 terms and, in a
-random frame, h has 470.
+random frame, h has 470.  The two intersection numbers of Gamma^1 in the
+cycle recursion, gamma^1 = Gamma^1 . V(z0) and Gamma^1 . V(dh/dz0), are
+counted where Gamma^1 was saturated, on that saturation and its basis: in
+f's coordinates z0 is the linear form of frame row 0 and dh/dz0 is L_0,
+and apply_frame fixes the origin, so the local numbers are the same.
+Every later intersection number slices the polar ideal in the frame.
 
 Each decision about the input is made in one place: why_not_singular says
 whether f is singular at the origin, and slice_lam0 gives lambda^0 of the
@@ -59,7 +67,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .groebner import Ideal, saturate
+from .groebner import Ideal, _slice, _slice_coordinate, saturate
 from .local import (
     hs_multiplicity,
     lazard_local_dim,
@@ -114,11 +122,12 @@ def _terms(ps: Sequence[Polynomial]) -> int:
     return sum(len(p.terms) for p in ps)
 
 
-def _polar_of(parts: _Partials, j: int, s: int | None = None) -> Ideal:
+def _polar_of(parts: _Partials, j: int, s: int | None = None) -> tuple[Ideal, Ideal | None]:
     """Polar ideal of the reframed h whose partials parts holds: partials
     j..n, with components inside the critical locus removed.  j = n+1 gives
     the zero ideal (the whole space), which makes the j = n step of the
-    cycle recursion uniform.
+    cycle recursion uniform.  Returned with the saturation in f's own
+    coordinates it was mapped from, None when there is none.
 
     When the critical dimension s is known, a principal ideal with j > s
     needs no saturation: principal ideals are unmixed, and their components
@@ -137,21 +146,21 @@ def _polar_of(parts: _Partials, j: int, s: int | None = None) -> Ideal:
         raise ValueError(f"need 1 <= j <= {n1 + 1}")
     gens = [g for g in parts.framed[j:] if not g.is_zero]
     if not gens:
-        return Ideal((), vars=vars)
+        return Ideal((), vars=vars), None
     if s is not None and j > s and len(gens) == 1:
-        return Ideal(gens, vars=vars)
+        return Ideal(gens, vars=vars), None
     pull = _terms(parts.source) < _terms(parts.framed)
     use = parts.source if pull else parts.framed
     # saturating by the critical ideal only tests the partials below j: the
     # generators above vanish on every component of their own zero set
     P = saturate(Ideal(use[j:], vars=vars), Ideal(use[:j], vars=vars))
     if not pull:
-        return P
-    return Ideal([apply_frame(g, parts.frame) for g in P.gens], vars=vars)
+        return P, None
+    return Ideal([apply_frame(g, parts.frame) for g in P.gens], vars=vars), P
 
 
 def polar_ideal(f: Polynomial, frame: Frame, j: int) -> Ideal:
-    return _polar_of(_partials(f, apply_frame(f, frame), frame), j)
+    return _polar_of(_partials(f, apply_frame(f, frame), frame), j)[0]
 
 
 def _max_ideal(vars: tuple[str, ...]) -> Ideal:
@@ -204,7 +213,8 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     work = list(forms)
 
     def take(step: int, form: Polynomial):
-        """Slice by one form, by substitution when it is a coordinate."""
+        """Slice by one form before the last, by substitution when it is a
+        coordinate."""
         nonlocal gens, cur_vars
         i = _coordinate_index(form)
         if i is not None and len(cur_vars) > 1:
@@ -226,10 +236,9 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
         if step == d - 1:
             break
         take(step, form)
-    if d > 1:
-        gens = list(saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)).gens)
-    take(d - 1, work[d - 1])
-    K = Ideal(gens, vars=cur_vars)
+    J = saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)) if d > 1 else I
+    i = _coordinate_index(form)
+    K = _slice_coordinate(J, i) if i is not None and len(cur_vars) > 1 else _slice(J, form)
     q = truncated_quotient_dim(K)
     return local_quotient_dim(K) if q is None else q
 
@@ -331,14 +340,29 @@ def lambda_numbers(
     zvars = [Polynomial.var_index(i, h.vars) for i in range(n1)]
     parts = _partials(f, h, frame)
     # polar[j-1] is Gamma^j
-    polar = tuple(_polar_of(parts, j, s) for j in range(1, s + 2))
+    polar, pulled = zip(*(_polar_of(parts, j, s) for j in range(1, s + 2)))
+    # Gamma^1 is cut where it was saturated; in f's own coordinates z0 is
+    # the form of frame row 0 and dh/dz0 is source[0]
+    if pulled[0] is None:
+        gamma1, z0, dz0 = polar[0], zvars[0], parts.framed[0]
+    else:
+        row = {tuple(int(k == i) for k in range(n1)): c for i, c in enumerate(frame.matrix[0])}
+        gamma1, z0, dz0 = pulled[0], Polynomial(f.vars, row), parts.source[0]
     lam: list = [None] * (s + 1)
     gam_full: list = [None] * (s + 1)
     gam_full[0] = 0
     for j in range(s, -1, -1):
         if j >= 1:
-            gam_full[j] = intersection_number(polar[j - 1], zvars[:j])
-        total = intersection_number(polar[j], zvars[:j] + [parts.framed[j]])
+            gam_full[j] = (
+                intersection_number(gamma1, [z0])
+                if j == 1
+                else intersection_number(polar[j - 1], zvars[:j])
+            )
+        total = (
+            intersection_number(gamma1, [dz0])
+            if j == 0
+            else intersection_number(polar[j], zvars[:j] + [parts.framed[j]])
+        )
         if total is not None and gam_full[j] is not None:
             diff = total - gam_full[j]
             lam[j] = diff if diff >= 0 else None

@@ -43,6 +43,12 @@ Ideal, whose generators are its monic elements.  The integer elements of a
 Basis serve every later computation on its ideal, so kernel output is
 converted to Fractions only where it is read.
 
+A slice of an ideal that holds its reduced grevlex basis starts from that
+basis too: _complete adds the new generator p, which may be a zero divisor
+or already in the ideal, and _interreduce leaves the reduced basis of
+I + (p), which the returned Ideal carries (_slice).  Setting x_i to 0 is
+the same completion by x_i, with x_i then dropped (_slice_coordinate).
+
 The tuple helpers of the Mora oracle (lcm, product, sign) live beside it in
 tests/_oracles.py.
 """
@@ -215,6 +221,7 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing, sig: int | None = None) -> P
     out: list[tuple[int, int, int, int]] = []
     F = 1  # product of the co-scaling factors applied to the live part
     G = 1  # product of the contents stripped from the live part
+    stripped = 1  # F at the last content strip
     steps = 0
     while heap:
         m = -pop(heap)
@@ -258,7 +265,10 @@ def _nf(h: PPoly, red: list[Reducer], pk: _Packing, sig: int | None = None) -> P
                 return None
             out.append((m, c, F, G))
         steps += 1
-        if steps % 16 == 0 and coeff:
+        # contents build up through co-scalings: without one since the last
+        # strip, a pass over the live terms rarely finds any
+        if steps % 16 == 0 and F != stripped and coeff:
+            stripped = F
             g0 = gcd(*coeff.values())
             if g0 > 1:
                 coeff = {k: v // g0 for k, v in coeff.items()}
@@ -379,8 +389,9 @@ def _complete(
     basis: list[PPoly], f: PPoly, pk: _Packing
 ) -> tuple[list[PPoly], list[Reducer]]:
     """A Groebner basis of the ideal of basis + (f), given that basis is a
-    Groebner basis and f a nonzerodivisor modulo its ideal: its elements and
-    their reducers, basis's own first.
+    Groebner basis: its elements and their reducers, basis's own first.  f
+    is any polynomial; when it reduces to zero it is in the ideal, and
+    basis comes back as it is.
 
     A signature-based completion (Faugere, "A new efficient algorithm for
     computing Groebner bases without reduction to zero (F5)", ISSAC 2002;
@@ -393,9 +404,11 @@ def _complete(
       none;
     - T is a syzygy's when the leading monomial of an element of basis
       divides it, or a reduction of a signature that divides it ended in
-      zero.  u*f in the ideal of basis puts u in it, because f is a
-      nonzerodivisor, so the first test finds every syzygy and no
-      reduction ends in zero;
+      zero: such a reduction records its signature.  When f is a
+      nonzerodivisor modulo the ideal of basis, u*f in it puts u in it, so
+      the first test finds every syzygy and no reduction ends in zero, as
+      in a saturation; a zero divisor f, as a slice may be, leaves some
+      syzygies to the second;
     - otherwise the newest element r whose signature divides T stands for
       all of T: (T / sig r)*r is reduced by _nf under the signature T, and
       joins unless an element of signature T already covers it."""
@@ -431,7 +444,10 @@ def _complete(
 
     if syzygy(0):
         return polys, red  # basis holds a unit
-    add(_nf(f, red, pk, 0), 0)
+    h = _nf(f, red, pk, 0)
+    if not h:
+        return polys, red  # f is in the ideal of basis
+    add(h, 0)
     last = -1
     while queue:
         T = heapq.heappop(queue)
@@ -663,10 +679,16 @@ def _saturate(I: Ideal, gs: Sequence[Polynomial]) -> Ideal:
         kept = _interreduce([polys[k] for k in tfree], [red[k] for k in tfree], pk)
         return [{e[:n]: v for e, v in pk.unpack_poly(d).items()} for d in kept]
 
-    result = Basis(I.vars, GREVLEX, _widening(_width([*gens, f]), run))
-    J = _restore_ideal(result.elements, I.vars)
-    J._cache[GREVLEX] = result
-    return J
+    return _carrying(I.vars, _widening(_width([*gens, f]), run))
+
+
+def _carrying(vars: tuple[str, ...], ints: list[IPoly]) -> Ideal:
+    """The Ideal whose generators are the monic elements of the reduced
+    grevlex basis ints, with that basis in its cache."""
+    basis = Basis(vars, GREVLEX, ints)
+    I = _restore_ideal(basis.elements, vars)
+    I._cache[GREVLEX] = basis
+    return I
 
 
 def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
@@ -735,3 +757,49 @@ def radical_member(g: Polynomial, I: Ideal) -> bool:
     if g.is_zero or (not I.is_zero and I.contains(g)):
         return True
     return _saturate_principal(I, g).groebner().contains_unit()
+
+
+# -- slices -----------------------------------------------------------------
+
+
+def _extend(ints: list[IPoly], f: IPoly, n: int) -> list[IPoly]:
+    """The reduced grevlex basis of (ints) + (f), ints being a reduced
+    grevlex basis in n variables: _complete adds f, and _interreduce runs."""
+
+    def run(width: int) -> list[IPoly]:
+        pk = _packing(GREVLEX, n, width)
+        polys, red = _complete([pk.pack_poly(d) for d in ints], pk.pack_poly(f), pk)
+        return [pk.unpack_poly(d) for d in _interreduce(polys, red, pk)]
+
+    return _widening(_width([*ints, f]), run)
+
+
+def _slice(I: Ideal, p: Polynomial) -> Ideal:
+    """I + (p).  From I's cached reduced grevlex basis, a completion adds p,
+    and the result carries its own basis; without one, the Ideal of I's
+    generators and p."""
+    basis = I._cache.get(GREVLEX)
+    if basis is None:
+        return Ideal([*I.gens, p], vars=I.vars)
+    return _carrying(I.vars, _extend(basis.ints, _to_int(p), len(I.vars)))
+
+
+def _slice_coordinate(I: Ideal, i: int) -> Ideal:
+    """I with x_i set to 0, an ideal of the other variables.
+
+    From I's cached reduced grevlex basis, a completion adds x_i.  In the
+    reduced basis of I + (x_i) every element but x_i is free of x_i, and
+    grevlex on the x_i-free monomials is grevlex on the other variables, so
+    dropping x_i, and the i-th exponent of the rest, leaves the reduced
+    basis of the slice, which the result carries.  Without a cached basis
+    the generators of I are restricted."""
+    n = len(I.vars)
+    vars = I.vars[:i] + I.vars[i + 1 :]
+    basis = I._cache.get(GREVLEX)
+    if basis is None:
+        return Ideal([g.set_var_zero(i) for g in I.gens], vars=vars)
+    x = {tuple(int(k == i) for k in range(n)): 1}
+    return _carrying(
+        vars,
+        [{e[:i] + e[i + 1 :]: v for e, v in d.items()} for d in _extend(basis.ints, x, n) if d != x],
+    )

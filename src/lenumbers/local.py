@@ -29,13 +29,14 @@ an ideal that is zero-dimensional globally it counts with grevlex bases
 only.  Let N be the total colength.  When the origin is the only point the
 answer is N.  Otherwise a linear form g is chosen that vanishes at no other
 point of V(I), certified by x_i^N2 lying in I + (g) for every i, where
-N2 = colength(I + (g)); the answer is then N - colength(I : g^infinity),
-one saturation.  That is exact because a zero-dimensional quotient is the
-product of its local algebras, one per point (Cox, Little, O'Shea, Using
-Algebraic Geometry, ch. 4), and saturating by g removes exactly the
-factors at the zeros of g.  On large final ideals this is far cheaper than
-the homogenized local computation.  For any other ideal it returns None
-and local_quotient_dim is used instead.
+N2 = colength(I + (g)), whose basis completes I's (groebner._slice); the
+answer is then N - colength(I : g^infinity), one saturation.  That is
+exact because a zero-dimensional quotient is the product of its local
+algebras, one per point (Cox, Little, O'Shea, Using Algebraic Geometry,
+ch. 4), and saturating by g removes exactly the factors at the zeros of
+g.  On large final ideals this is far cheaper than the homogenized local
+computation.  For any other ideal it returns None and local_quotient_dim
+is used instead.
 
 The tests check both against independent oracles kept beside them
 (tests/_oracles.py): Mora's tangent cone algorithm, a staircase count, and
@@ -46,7 +47,14 @@ from __future__ import annotations
 
 from itertools import count
 
-from .groebner import Basis, Ideal, _divides, _saturate_coordinate, _saturate_principal
+from .groebner import (
+    Basis,
+    Ideal,
+    _divides,
+    _saturate_coordinate,
+    _saturate_principal,
+    _slice,
+)
 from .orders import GREVLEX, LOCAL, ExpVec
 from .poly import Polynomial
 
@@ -256,7 +264,7 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     if N <= _SHORTCUT_MAX and all(basis.contains(x**N) for x in xs):
         return N
     for g in _ladder(I.vars):
-        Kg = Ideal([*basis.elements, g], vars=I.vars).groebner(GREVLEX)
+        Kg = _slice(I, g).groebner(GREVLEX)
         N2 = _colength(Kg)
         if N2 == 0:
             return 0

@@ -476,23 +476,33 @@ def parse(text: str, vars: Sequence[str]) -> Polynomial:
 
 
 def _inverse(mat: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the inverse matrix (Gauss-Jordan over Fractions); ValueError
-    when the matrix is singular."""
+    """Rows of the inverse matrix; ValueError when the matrix is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each row is scaled by
+    the lcm d_i of its denominators to integers, and every step divides
+    exactly by the previous pivot, so the integer matrix A ends as c*I with
+    c*A^-1 beside it.  The inverse of mat is A^-1 * diag(d), one Fraction
+    per entry."""
     n = len(mat)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(mat)]
+    scale = [lcm(*(c.denominator for c in row)) for row in mat]
+    m = [
+        [c.numerator * (d // c.denominator) for c in row] + [int(i == j) for j in range(n)]
+        for i, (row, d) in enumerate(zip(mat, scale))
+    ]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise ValueError("frame matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
+        top = m[col]
+        p = top[col]
         for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+            if r != col:
+                a = m[r][col]
+                m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    return tuple(tuple(Fraction(row[n + j] * scale[j], prev) for j in range(n)) for row in m)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from lenumbers.cycles import (
     sigma_ideal,
     slice_check,
 )
-from lenumbers.groebner import Ideal
+from lenumbers.groebner import Ideal, saturate
 from lenumbers.local import germ_in_hyperplane
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
@@ -184,6 +184,29 @@ def test_le_record_carries_its_germ_and_polar_varieties(member):
             assert rec.polar_mult(j) == polar_mult(f, frame, j), (frame, j)
         z0 = Polynomial.var_index(0, f.vars)
         assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), [z0])
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_gamma1_counts_in_the_source_coordinates_match_the_frame(member):
+    # Gamma^1 saturated in f's own coordinates, where z0 is the form of frame
+    # row 0 and dh/dz0 is source[0], against polar_ideal in the frame, sliced
+    # from its generators: gamma^1 = Gamma^1 . V(z0) and the j = 0 total
+    # Gamma^1 . V(dh/dz0)
+    f = member.poly
+    vars = f.vars
+    n1 = len(vars)
+    z0 = Polynomial.var_index(0, vars)
+    for frame in (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1)):
+        parts = cycles._partials(f, apply_frame(f, frame), frame)
+        src = saturate(Ideal(parts.source[1:], vars=vars), Ideal(parts.source[:1], vars=vars))
+        row0 = sum(
+            (Polynomial.var_index(k, vars) * c for k, c in enumerate(frame.matrix[0])),
+            Polynomial.zero(vars),
+        )
+        P = Ideal(polar_ideal(f, frame, 1).gens, vars=vars)
+        assert intersection_number(src, [row0]) == intersection_number(P, [z0]), frame
+        dz0 = parts.framed[0]
+        assert intersection_number(src, [parts.source[0]]) == intersection_number(P, [dz0]), frame
 
 
 def test_le_record_repr_and_equality_leave_out_the_germ():

@@ -239,17 +239,28 @@ def test_saturate_matches_the_classical_elimination(seed):
 def test_no_reduction_of_a_completion_ends_in_zero(member, monkeypatch, serial_trials):
     # 1 - t_1*g_1 - ... - t_r*g_r is a nonzerodivisor modulo I*k[x, t], so
     # the syzygy criterion finds every syzygy before it is reduced.  The
-    # reductions of _complete are the _nf calls that carry a signature.
+    # reductions of a saturation's completion are the _nf calls inside
+    # _saturate that carry a signature; a slice's completion may add a zero
+    # divisor, and is left out.
     results = []
-    nf = groebner._nf
+    inside = []
+    nf, saturate_ = groebner._nf, groebner._saturate
 
     def recording(h, red, pk, sig=None):
         r = nf(h, red, pk, sig)
-        if sig is not None:
+        if sig is not None and inside:
             results.append(r)
         return r
 
+    def saturating(I, gs):
+        inside.append(True)
+        try:
+            return saturate_(I, gs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(groebner, "_nf", recording)
+    monkeypatch.setattr(groebner, "_saturate", saturating)
     generic_le(member.poly, seed=0, trials=3)
     assert results or (member.s == 0 and len(member.vars) == 2)
     assert {} not in results
@@ -333,6 +344,91 @@ def test_corpus_saturations_carry_their_grevlex_basis(monkeypatch):
     _carries_its_basis(_saturate_principal(P, z), monkeypatch)
     m = Ideal([Polynomial.var_index(i, P.vars) for i in range(len(P.vars))], vars=P.vars)
     _carries_its_basis(saturate(Ideal(P.gens[1:], vars=P.vars), m), monkeypatch)
+
+
+def _slice_case(seed):
+    """(I, p) over x, y, z: p is in I, a zero divisor modulo I, a unit, the
+    unit ideal's, or a random polynomial, as seed runs through five kinds."""
+    rng = random.Random(seed)
+    I = _random_ideal(seed + 6000, ngens=1 + seed % 3)
+    q = _random_ideal(seed + 7000, ngens=1).gens[0]
+    x = Polynomial.var_index(rng.randrange(3), XYZ)
+    kind = seed % 5
+    if kind == 0:
+        # in I
+        return I, sum((g * rng.randint(-3, 3) for g in I.gens), q * I.gens[0])
+    if kind == 1:
+        # x*q times I's first generator is in I: x*q is a zero divisor
+        return Ideal([x * I.gens[0], *I.gens[1:]], vars=XYZ), x * q
+    if kind == 2:
+        return I, Polynomial.constant(rng.randint(1, 5), XYZ)
+    if kind == 3:
+        return Ideal([q + 1, q], vars=XYZ), x
+    return I, q
+
+
+def _sliced(I, p):
+    """I + (p), computed from generators."""
+    return Ideal([*I.gens, p], vars=I.vars).groebner(GREVLEX).elements
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_slices_complete_the_cached_basis(seed, monkeypatch):
+    I, p = _slice_case(seed)
+    I.groebner(GREVLEX)
+    K = groebner._slice(I, p)
+    assert K.groebner(GREVLEX).elements == _sliced(I, p)
+    _carries_its_basis(K, monkeypatch)
+    for i in range(3):
+        x = Polynomial.var_index(i, XYZ)
+        K = groebner._slice_coordinate(I, i)
+        restricted = Ideal([g.set_var_zero(i) for g in I.gens], vars=K.vars)
+        assert K.vars == XYZ[:i] + XYZ[i + 1 :]
+        assert K.groebner(GREVLEX).elements == restricted.groebner(GREVLEX).elements
+        _carries_its_basis(K, monkeypatch)
+        # I + (x_i) less x_i: the elements free of x_i, x_i's exponent dropped
+        kept = [g.set_var_zero(i) for g in _sliced(I, x) if g != x]
+        assert K.groebner(GREVLEX).elements == tuple(kept)
+
+
+def test_slices_without_a_cached_basis_add_the_generator():
+    I, p = _slice_case(4)
+    assert groebner._slice(I, p).gens == Ideal([*I.gens, p], vars=XYZ).gens
+    K = groebner._slice_coordinate(I, 1)
+    assert K.gens == Ideal([g.set_var_zero(1) for g in I.gens], vars=("x", "z")).gens
+
+
+def test_a_completion_by_a_member_returns_the_basis():
+    I, p = _slice_case(0)
+    ints = I.groebner(GREVLEX).ints
+    pk = groebner._packing(GREVLEX, 3, 8)
+    basis = [pk.pack_poly(d) for d in ints]
+    polys, red = groebner._complete(basis, pk.pack_poly(_to_int(p)), pk)
+    assert polys == basis and len(red) == len(basis)
+
+
+def test_slice_completions_overflow_and_widen(monkeypatch):
+    # with no spare bits the fields hold degree 255; y^150 - x shifted to the
+    # lcm x^150*y^150 of the leading monomials has degree 301
+    monkeypatch.setattr(groebner, "_ROOM", 0)
+    widths = []
+    complete = groebner._complete
+
+    def recording(basis, f, pk):
+        try:
+            return complete(basis, f, pk)
+        except groebner._Overflow:
+            widths.append(pk.width)
+            raise
+
+    I = Ideal([P("x^150*y-1", XY)], vars=XY)
+    p = P("y^150-x", XY)
+    I.groebner(GREVLEX)
+    monkeypatch.setattr(groebner, "_complete", recording)
+    K = groebner._slice(I, p)
+    assert widths == [8]
+    monkeypatch.setattr(groebner, "_complete", complete)
+    assert K.groebner(GREVLEX).elements == _sliced(I, p)
 
 
 def test_intersect_principal():
