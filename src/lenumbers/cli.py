@@ -284,6 +284,7 @@ def _cmd_compute(args) -> int:
     values = {}
 
     if args.target == "le":
+        _validate_singular(f)
         values["mult"] = f.mult_origin()
         if args.frame == "random":
             rec = generic_le(f, seed=seed, trials=trials, bound=args.bound)

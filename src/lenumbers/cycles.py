@@ -8,8 +8,8 @@ saturation rather than by any explicit decomposition.
 intersection_number slices one hypersurface at a time.  Coordinate
 hyperplanes are sliced by substitution, which shrinks the ring; a general
 form is added to the ideal.  Before the last slice the curve is saturated
-by the maximal ideal, and any improper slice makes the answer None
-(undefined) rather than a wrong integer.  The final step counts a local
+by the maximal ideal (_curve), and any improper slice makes the answer
+None (undefined) rather than a wrong integer.  The final step counts a local
 colength, which is exact because the last slice cuts a saturated (hence
 Cohen-Macaulay) curve by a nonzerodivisor.  The last slice starts from
 the grevlex basis of the ideal it cuts, the saturated curve's or, for one
@@ -32,12 +32,14 @@ apply_frame(L_i, frame) for L_i = sum_k B[k][i] df/dx_k.  apply_frame is a
 ring automorphism and saturation commutes with automorphisms, so the
 saturation of the L_i, carried through the frame, is Gamma^j.  f is sparse
 and h usually dense: the surface z^2+(w^4+x^3+y^2)^2 has 7 terms and, in a
-random frame, h has 470.  The two intersection numbers of Gamma^1 in the
-cycle recursion, gamma^1 = Gamma^1 . V(z0) and Gamma^1 . V(dh/dz0), are
-counted where Gamma^1 was saturated, on that saturation and its basis: in
-f's coordinates z0 is the linear form of frame row 0 and dh/dz0 is L_0,
-and apply_frame fixes the origin, so the local numbers are the same.
-Every later intersection number slices the polar ideal in the frame.
+random frame, h has 470.  lambda_numbers walks the cycle recursion
+(Massey, Le Cycles and Hypersurface Singularities, LNM 1615) one curve
+C_j = Gamma^{j+1} . V(z_0, ..., z_{j-1}) at a time, j = 0..s: each is cut
+once and gives C_j . V(dh/dz_j) = lambda^j + gamma^j and C_j . V(z_j) =
+gamma^{j+1}.  C_0 = Gamma^1 is counted where it was saturated, on that
+saturation and its basis: in f's coordinates z0 is the linear form of
+frame row 0 and dh/dz0 is L_0, and apply_frame fixes the origin, so the
+local numbers are the same.
 
 Each decision about the input is made in one place: why_not_singular says
 whether f is singular at the origin, and slice_lam0 gives lambda^0 of the
@@ -177,6 +179,37 @@ def _coordinate_index(p: Polynomial) -> int | None:
     return e.index(1)
 
 
+def _curve(I: Ideal, forms: Sequence[Polynomial]) -> tuple[Ideal, Polynomial] | int | None:
+    """The curve stage of intersection_number(I, forms), with the last form
+    written in its ring.  Every form but the last cuts I, a coordinate z_i
+    by setting it to 0 (z_i leaves the ring and the later forms), any other
+    form by joining the generators, and the cut is saturated by the maximal
+    ideal; one form leaves I as it is.  A zero form gives None (undefined)
+    and one that misses the origin gives 0, before any saturation."""
+    d = len(forms)
+    gens = list(I.gens)
+    cur_vars = I.vars
+    work = list(forms)
+    for step, form in enumerate(work):
+        if form.is_zero:
+            return None
+        if form.constant_term != 0:
+            # hypersurface misses the origin; nothing left to count there
+            return 0
+        if step == d - 1:
+            break
+        i = _coordinate_index(form)
+        if i is not None and len(cur_vars) > 1:
+            gens = [g.set_var_zero(i) for g in gens]
+            for k in range(step + 1, d):
+                work[k] = work[k].set_var_zero(i)
+            cur_vars = cur_vars[:i] + cur_vars[i + 1 :]
+        else:
+            gens.append(form)
+    J = saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)) if d > 1 else I
+    return J, work[-1]
+
+
 def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     """Local intersection number at the origin of the cycle of I with the
     given hypersurfaces, len(forms) matching the cycle dimension.
@@ -185,13 +218,13 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     and every component of V(I) must have dimension >= len(forms); both hold
     for the cycles produced in this module.  Under that guarantee a finite
     colength at the end certifies the whole chain: each slice cuts the
-    dimension of every component by at most one, so the curve stage J,
-    saturated by the maximal ideal, has only components of dimension >= 1,
-    and a finite final colength at the origin leaves those through the
-    origin exactly one-dimensional and every cut proper.  A J that misses
-    the origin gives 0, and one of dimension >= 2 there gives an infinite
-    colength, hence None.  The final count is exact because the curve, once
-    saturated, is Cohen-Macaulay and the last form is then a
+    dimension of every component by at most one, so the curve stage J
+    (_curve), saturated by the maximal ideal, has only components of
+    dimension >= 1, and a finite final colength at the origin leaves those
+    through the origin exactly one-dimensional and every cut proper.  A J
+    that misses the origin gives 0, and one of dimension >= 2 there gives an
+    infinite colength, hence None.  The final count is exact because the
+    curve, once saturated, is Cohen-Macaulay and the last form is then a
     nonzerodivisor.
 
     The final colength is counted globally (truncated_quotient_dim) when
@@ -204,41 +237,14 @@ def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
     elsewhere.
 
     None means undefined: an improper slice or a degenerate form."""
-    d = len(forms)
-    if d == 0:
+    if not forms:
         raise ValueError("need at least one hypersurface")
-
-    gens = list(I.gens)
-    cur_vars = I.vars
-    work = list(forms)
-
-    def take(step: int, form: Polynomial):
-        """Slice by one form before the last, by substitution when it is a
-        coordinate."""
-        nonlocal gens, cur_vars
-        i = _coordinate_index(form)
-        if i is not None and len(cur_vars) > 1:
-            gens = [g.set_var_zero(i) for g in gens]
-            gens = [g for g in gens if not g.is_zero]
-            for k in range(step + 1, d):
-                work[k] = work[k].set_var_zero(i)
-            cur_vars = cur_vars[:i] + cur_vars[i + 1 :]
-        else:
-            gens = gens + [form]
-
-    for step in range(d):
-        form = work[step]
-        if form.is_zero:
-            return None
-        if form.constant_term != 0:
-            # hypersurface misses the origin; nothing left to count there
-            return 0
-        if step == d - 1:
-            break
-        take(step, form)
-    J = saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)) if d > 1 else I
+    curve = _curve(I, forms)
+    if not isinstance(curve, tuple):
+        return curve
+    J, form = curve
     i = _coordinate_index(form)
-    K = _slice_coordinate(J, i) if i is not None and len(cur_vars) > 1 else _slice(J, form)
+    K = _slice_coordinate(J, i) if i is not None and len(J.vars) > 1 else _slice(J, form)
     q = truncated_quotient_dim(K)
     return local_quotient_dim(K) if q is None else q
 
@@ -322,12 +328,13 @@ def lambda_numbers(
 ) -> LeRecord:
     """Le and relative polar numbers of f at the origin for one frame.
 
-    Runs the cycle recursion Lambda^j + Gamma^j = Gamma^{j+1} . V(df/dz_j):
-    lambda^j is the intersection number of Gamma^{j+1} with V(df/dz_j) and j
-    coordinate hyperplanes, minus gamma^j.  Improper intersections leave the
-    affected entries None.  s, the dimension of the critical locus at the
-    origin, is computed unless the caller already holds it: it does not
-    depend on the frame.  slice_check cross-checks the record.
+    Walks the cycle recursion one curve C_j = Gamma^{j+1} . V(z_0, ...,
+    z_{j-1}) at a time, Gamma^1 being C_0: each is cut once and gives
+    lambda^j + gamma^j = C_j . V(dh/dz_j) and, for j < s, gamma^{j+1} =
+    C_j . V(z_j).  Improper intersections and negative differences leave
+    the affected entries None.  s, the dimension of the critical locus at
+    the origin, is computed unless the caller already holds it: it does
+    not depend on the frame.  slice_check cross-checks the record.
     """
     _validate_singular(f)
     n1 = len(f.vars)
@@ -337,37 +344,33 @@ def lambda_numbers(
     if s is None:
         # the original coordinates keep the generators sparse
         s = local_dim(sigma_ideal(f))
-    zvars = [Polynomial.var_index(i, h.vars) for i in range(n1)]
     parts = _partials(f, h, frame)
     # polar[j-1] is Gamma^j
     polar, pulled = zip(*(_polar_of(parts, j, s) for j in range(1, s + 2)))
-    # Gamma^1 is cut where it was saturated; in f's own coordinates z0 is
-    # the form of frame row 0 and dh/dz0 is source[0]
-    if pulled[0] is None:
-        gamma1, z0, dz0 = polar[0], zvars[0], parts.framed[0]
-    else:
-        row = {tuple(int(k == i) for k in range(n1)): c for i, c in enumerate(frame.matrix[0])}
-        gamma1, z0, dz0 = pulled[0], Polynomial(f.vars, row), parts.source[0]
     lam: list = [None] * (s + 1)
-    gam_full: list = [None] * (s + 1)
-    gam_full[0] = 0
-    for j in range(s, -1, -1):
-        if j >= 1:
-            gam_full[j] = (
-                intersection_number(gamma1, [z0])
-                if j == 1
-                else intersection_number(polar[j - 1], zvars[:j])
-            )
-        total = (
-            intersection_number(gamma1, [dz0])
-            if j == 0
-            else intersection_number(polar[j], zvars[:j] + [parts.framed[j]])
-        )
-        if total is not None and gam_full[j] is not None:
-            diff = total - gam_full[j]
+    gam: list = [0] + [None] * s  # gam[j] is gamma^j
+    for j in range(s + 1):
+        if j == 0 and pulled[0] is not None:
+            # Gamma^1 is cut where it was saturated: in f's own coordinates
+            # z0 is the form of frame row 0 and dh/dz0 is source[0]
+            row = {tuple(int(k == i) for k in range(n1)): c for i, c in enumerate(frame.matrix[0])}
+            C, z, dz = pulled[0], Polynomial(f.vars, row), parts.source[0]
+        else:
+            dz = parts.framed[j]
+            for _ in range(j):
+                dz = dz.set_var_zero(0)  # on V(z_0, ..., z_{j-1})
+            if j == s and dz.is_zero:
+                break  # lambda^s is undefined, and C_s counts nothing else
+            # C_j, with z_j written in its ring
+            C, z = _curve(polar[j], [Polynomial.var_index(i, h.vars) for i in range(j + 1)])
+        total = intersection_number(C, [dz])
+        if j < s:
+            gam[j + 1] = intersection_number(C, [z])
+        if total is not None and gam[j] is not None:
+            diff = total - gam[j]
             lam[j] = diff if diff >= 0 else None
     return LeRecord(
-        s=s, lam=tuple(lam), gam=tuple(gam_full[1:]), frame=frame, h=h, polar=polar
+        s=s, lam=tuple(lam), gam=tuple(gam[1:]), frame=frame, h=h, polar=polar
     )
 
 

@@ -33,8 +33,9 @@ Buchberger uses normal-pair selection (smallest lcm in the order) with the
 Gebauer-Moeller form of the product and chain criteria.  Saturating I by
 J = (g_1, ..., g_r) eliminates t from I + (f), f = 1 - t_1*g_1 - ... -
 t_r*g_r, on the kernel's integer form, under a block order whose rows on
-the original variables are grevlex: I's reduced grevlex basis, padded with
-r zero exponents, is a Groebner basis of I*k[x, t] in it, and a
+the original variables are grevlex: I's reduced grevlex basis, which
+Ideal.groebner computes once and caches on I, padded with r zero
+exponents, is a Groebner basis of I*k[x, t] in it, and a
 signature-based completion (_complete) adds f.  f is a nonzerodivisor
 modulo I*k[x, t], so no reduction in the completion ends in zero.  The
 t-free elements of the result, interreduced, are the reduced grevlex basis
@@ -56,7 +57,6 @@ tests/_oracles.py.
 from __future__ import annotations
 
 import heapq
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -575,7 +575,7 @@ class Basis:
 class Ideal:
     """A polynomial ideal given by generators, with cached Groebner bases."""
 
-    __slots__ = ("vars", "gens", "_cache", "_lock")
+    __slots__ = ("vars", "gens", "_cache")
 
     def __init__(self, gens: Iterable[Polynomial], vars: Sequence[str] | None = None):
         gens = [g for g in gens if not g.is_zero]
@@ -595,10 +595,10 @@ class Ideal:
                 uniq.append(g)
         self.gens = tuple(uniq)
         self._cache: dict[MonomialOrder, Basis] = {}
-        self._lock = threading.Lock()
 
     def __reduce__(self):
-        # a lock does not pickle; the copy computes its own bases
+        # the generators alone: a worker's pickled reply stays small, and
+        # the copy computes its own bases
         return (_restore_ideal, (self.gens, self.vars))
 
     @property
@@ -608,13 +608,10 @@ class Ideal:
     def groebner(self, order: MonomialOrder = GREVLEX) -> Basis:
         """The reduced Groebner basis of the ideal under order, or its
         standard basis under the local order; computed once per order."""
-        with self._lock:
-            basis = self._cache.get(order)
-        if basis is not None:
-            return basis
-        basis = Basis(self.vars, order, _groebner_ints(self._gen_ints(), order))
-        with self._lock:
-            self._cache.setdefault(order, basis)
+        basis = self._cache.get(order)
+        if basis is None:
+            basis = Basis(self.vars, order, _groebner_ints(self._gen_ints(), order))
+            self._cache[order] = basis
         return basis
 
     def _gen_ints(self) -> list[IPoly]:
@@ -634,13 +631,12 @@ class Ideal:
 
 def _restore_ideal(gens: tuple[Polynomial, ...], vars: tuple[str, ...]) -> Ideal:
     """An Ideal of generators that are already checked and deduplicated,
-    with an empty basis cache and its own lock: unpickling, and the
-    elements of a reduced basis (_saturate)."""
+    with an empty basis cache: unpickling, and the elements of a reduced
+    basis (_carrying)."""
     I = object.__new__(Ideal)
     I.vars = vars
     I.gens = gens
     I._cache = {}
-    I._lock = threading.Lock()
     return I
 
 
@@ -653,16 +649,15 @@ def _saturate(I: Ideal, gs: Sequence[Polynomial]) -> Ideal:
 
     The block order that eliminates t puts the grevlex rows of x below
     those of t (orders.py), so on t-free monomials it is grevlex: I's
-    reduced grevlex basis, cached or computed here, is a Groebner basis of
-    I*k[x, t] in it.  f is 1 modulo (t), so it is a nonzerodivisor modulo
+    reduced grevlex basis, read through Ideal.groebner and so left in I's
+    cache, is a Groebner basis of I*k[x, t] in it.  f is 1 modulo (t), so
+    it is a nonzerodivisor modulo
     I*k[x, t], and _complete adds it with no reduction to zero.  The t-free
     elements of the result, interreduced, are the reduced grevlex basis of
     the saturation, which comes back in its cache."""
     n, r = len(I.vars), len(gs)
     pad = (0,) * r
-    basis = I._cache.get(GREVLEX)
-    ints = I._gen_ints() if basis is None else basis.ints
-    gens = [{e + pad: v for e, v in d.items()} for d in ints]
+    gens = [{e + pad: v for e, v in d.items()} for d in I.groebner().ints]
     f = {(0,) * (n + r): 1}
     for i, g in enumerate(gs):
         t = pad[:i] + (1,) + pad[i + 1 :]
@@ -671,10 +666,7 @@ def _saturate(I: Ideal, gs: Sequence[Polynomial]) -> Ideal:
 
     def run(width: int) -> list[IPoly]:
         pk = _packing(order, n + r, width)
-        packed = [pk.pack_poly(d) for d in gens]
-        if basis is None:
-            packed = _buchberger(packed, pk)
-        polys, red = _complete(packed, pk.pack_poly(f), pk)
+        polys, red = _complete([pk.pack_poly(d) for d in gens], pk.pack_poly(f), pk)
         tfree = [k for k, (lm, *_) in enumerate(red) if not any(pk.unpack(lm)[n:])]
         kept = _interreduce([polys[k] for k in tfree], [red[k] for k in tfree], pk)
         return [{e[:n]: v for e, v in pk.unpack_poly(d).items()} for d in kept]

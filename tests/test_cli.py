@@ -380,6 +380,12 @@ def test_check_rejects_input_not_singular_at_the_origin(capsys, poly):
     assert "error:" in err and out == ""
 
 
+def test_compute_le_reports_the_validators_reason(capsys):
+    code, out, err = run(capsys, "compute", "le", "-f", "0", "--vars", "x,y")
+    assert (code, out) == (1, "")
+    assert err == "error: f must be nonzero\n"
+
+
 def test_package_runs_as_a_module():
     # python -m lenumbers is the same command line as lenumbers.cli
     argv = ["compute", "milnor", "-f", "x^2+y^3", "--vars", "x,y"]

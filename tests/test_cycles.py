@@ -26,6 +26,7 @@ BN0 = parse("(x^2-z^2+y^2)*(x-z)", XYZ)
 TX = parse("y^3-x^4-t^2*x^2", TXY)
 UMBRELLA = parse("x^2-y^2*z", XYZ)
 X2Y2 = parse("x^2*y^2", XY)
+SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
 
 
 def test_bn0_identity_frame():
@@ -209,6 +210,60 @@ def test_gamma1_counts_in_the_source_coordinates_match_the_frame(member):
         assert intersection_number(src, [parts.source[0]]) == intersection_number(P, [dz0]), frame
 
 
+def _three_frames(n1):
+    return (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1))
+
+
+@pytest.mark.parametrize(
+    "f", [m.poly for m in CORPUS] + [SURFACE], ids=[m.name for m in CORPUS] + ["surface"]
+)
+def test_the_cycle_walk_saturates_each_curve_once(f, monkeypatch, serial_trials):
+    # C_j = Gamma^{j+1} . V(z_0, ..., z_{j-1}) gives gamma^{j+1} and
+    # lambda^j + gamma^j, and is saturated by the maximal ideal once, for
+    # j = 1..s, C_s only when it can give lambda^s.  The polar saturations
+    # are left out: in a frame where dh/dz_j is zero, Gamma^j and
+    # Gamma^{j+1} are the same saturation.
+    cuts = []
+    saturate_ = cycles.saturate
+
+    def recording(I, J):
+        if J.gens == cycles._max_ideal(J.vars).gens:
+            cuts.append((I.vars, I.gens))
+        return saturate_(I, J)
+
+    monkeypatch.setattr(cycles, "saturate", recording)
+    for frame in _three_frames(len(f.vars)):
+        cuts.clear()
+        rec = lambda_numbers(f, frame)
+        assert len(set(cuts)) == len(cuts) <= rec.s, frame
+        if rec.lam[rec.s] is not None:
+            assert len(cuts) == rec.s, frame
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_the_cycle_walk_matches_the_general_route(member):
+    # gamma^{j+1} = Gamma^{j+1} . V(z_0, ..., z_j) and lambda^j + gamma^j =
+    # Gamma^{j+1} . V(z_0, ..., z_{j-1}, dh/dz_j), each counted in one
+    # intersection_number call on polar_ideal
+    f = member.poly
+    n1 = len(f.vars)
+    z = [Polynomial.var_index(i, f.vars) for i in range(n1)]
+    for frame in _three_frames(n1):
+        rec = lambda_numbers(f, frame)
+        h = apply_frame(f, frame)
+        gam = [0]
+        for j in range(rec.s + 1):
+            P = polar_ideal(f, frame, j + 1)
+            if j < rec.s:
+                gam.append(intersection_number(P, z[: j + 1]))
+            total = intersection_number(P, z[:j] + [h.partial(j)])
+            if total is None or gam[j] is None or total < gam[j]:
+                assert rec.lam[j] is None, (frame, j)
+            else:
+                assert rec.lam[j] == total - gam[j], (frame, j)
+        assert rec.gam == tuple(gam[1:]), frame
+
+
 def test_le_record_repr_and_equality_leave_out_the_germ():
     frame = Frame.random(3, 1)
     rec = lambda_numbers(BN0, frame)
@@ -251,9 +306,6 @@ def test_slice_check_refuses_a_record_from_another_frame():
     # the same coordinates under another seed are the same frame
     assert slice_check(BN0, Frame(Frame.identity(3).matrix, seed=5), rec) is True
     assert slice_check(BN0, Frame.identity(3), rec) is True
-
-
-SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
 
 
 def test_le_iomdine_transform_of_the_surface():
