@@ -64,18 +64,18 @@ def _rep(name: str, lhs, rhs, holds: bool, **ctx) -> IneqReport:
 
 
 def _le_record(f, frame, seed, trials, bound):
-    """(record, generic flag); record is None when f is not singular at the
-    origin, with or without a frame, or no frame gave defined Le numbers
-    (Undefined).  Every other error, a bad trials or bound among them,
-    propagates."""
+    """The Le record of f in frame, or generic_le's when frame is None;
+    None when f is not singular at the origin or no frame gave defined Le
+    numbers (Undefined).  Every other error, a bad trials or bound among
+    them, propagates."""
     if why_not_singular(f) is not None:
-        return None, frame is None
+        return None
     if frame is not None:
-        return lambda_numbers(f, frame), False
+        return lambda_numbers(f, frame)
     try:
-        return generic_le(f, seed=seed, trials=trials, bound=bound), True
+        return generic_le(f, seed=seed, trials=trials, bound=bound)
     except Undefined:
-        return None, True
+        return None
 
 
 def check_funbound(
@@ -88,7 +88,7 @@ def check_funbound(
     """Multiplicity bound: sum of (mult-1)^j lambda^j against
     (mult-1)^(variable count), with equality required of homogeneous
     inputs."""
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None or any(v is None for v in rec.lam):
         return [_skip("funbound", "Le numbers undefined for this frame")]
     m1 = f.mult_origin() - 1
@@ -107,7 +107,7 @@ def check_funbound(
             mult=m1 + 1,
             homogeneous=homog,
             seed=seed,
-            generic=generic,
+            generic=frame is None,
         )
     ]
 
@@ -164,7 +164,7 @@ def check_mainone(
     n = len(f.vars) - 1
     if n < 1:
         return [_skip("mainone", "needs at least two variables")]
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("mainone", "Le numbers undefined")]
     if rec.s > 1:
@@ -191,7 +191,7 @@ def check_mainone(
             mu_next=mun1,
             s=rec.s,
             seed=seed,
-            generic=generic,
+            generic=frame is None,
         )
     ]
 
@@ -218,84 +218,67 @@ def check_mainmany(
     def profile(k: int) -> LeRecord | None:
         if k not in cache:
             g = restrict(f, k, seed=seed * 53 + 11 * k, bound=bound)
-            rec_k, _ = _le_record(g, None, seed, trials, bound)
-            cache[k] = rec_k
+            cache[k] = _le_record(g, None, seed, trials, bound)
         return cache[k]
-
-    def lam0_of(k: int) -> int | None:
-        if k == 0:
-            return 1
-        p = profile(k)
-        return None if p is None else p.lam[0]
 
     omega = n
     while omega >= 1:
-        l0 = lam0_of(omega)
-        if l0 is None:
+        prof = profile(omega)
+        if prof is None:
             return [_skip("mainmany", f"slice profile at dimension {omega} undefined")]
-        if l0 != 0:
+        if prof.lam[0] != 0:
             break
         omega -= 1
     if omega < 1:
         return [_skip("mainmany", "every slice has vanishing lambda^0")]
     shifted = omega < n
+    generic = shifted or frame is None
 
-    if shifted:
-        A = profile(omega + 1)
-        generic = True
-    else:
-        A, generic = _le_record(f, frame, seed, trials, bound)
+    A = profile(omega + 1) if shifted else _le_record(f, frame, seed, trials, bound)
     if A is None:
         return [_skip("mainmany", "Le numbers undefined")]
     su = A.s
-    if any(A.lam[i] is None for i in range(su + 1)):
+    if any(v is None for v in A.lam):
         return [_skip("mainmany", "Le numbers undefined for this frame")]
     B = profile(omega)
     C = profile(omega - 1) if omega - 1 >= 1 else None
     if B is None or (omega - 1 >= 1 and C is None):
         return [_skip("mainmany", "slice profile undefined")]
+    # the 0-dimensional slice has lambda^0 = 1 and no other Le number
+    lamC = (1,) if C is None else C.lam
 
-    def lamA(i):
-        return A.lam[i] if i <= A.s else 0
-
-    def lamB(i):
-        return B.lam[i] if i <= B.s else 0
-
-    lam0C = 1 if C is None else C.lam[0]
-
-    def lamC(i):
-        return 0 if C is None or i > C.s else C.lam[i]
+    def at(lam, i):
+        return lam[i] if i < len(lam) else 0
 
     def weighted(lam, top):
-        val, prod = lam(0), 1
+        val, prod = lam[0], 1
         for i in range(1, top + 1):
             prod *= ks[i - 1]
-            val += lam(i) * prod
+            val += at(lam, i) * prod
         return val
 
     # k_1 = lambda^0 of the top slice; each later k adds one more term of
     # the slice profile weighted by the product of the earlier k's
     ks: list[int] = []
     for p in range(su):
-        ks.append(weighted(lamB, p))
+        ks.append(weighted(B.lam, p))
 
-    D = weighted(lamB, su - 1)
-    rhsden = weighted(lamC, su - 2) if C is not None else lam0C
+    D = weighted(B.lam, su - 1)
+    rhsden = weighted(lamC, su - 2)
     if D == 0 or rhsden == 0:
         return [_skip("mainmany", "degenerate denominator")]
-    lhs = Fraction(weighted(lamA, su), D)
+    lhs = Fraction(weighted(A.lam, su), D)
     rhs = Fraction(D, rhsden)
 
     ident: dict[str, bool] = {}
-    if A.s >= 1 and A.gam[0] is not None and A.lam[1] is not None:
-        ident["slice0"] = lamB(0) == A.gam[0] + A.lam[1]
-    if A.s >= 2 and A.gam[1] is not None and A.lam[2] is not None:
-        ident["slice1"] = lam0C == A.gam[1] + A.lam[2]
+    if A.s >= 1 and A.gam[0] is not None:
+        ident["slice0"] = B.lam[0] == A.gam[0] + A.lam[1]
+    if A.s >= 2 and A.gam[1] is not None:
+        ident["slice1"] = lamC[0] == A.gam[1] + A.lam[2]
     for i in range(1, B.s + 1):
-        ident[f"shift_{i}"] = B.lam[i] == lamA(i + 1)
-    if C is not None:
-        for i in range(1, C.s + 1):
-            ident[f"shift2_{i}"] = C.lam[i] == lamA(i + 2)
+        ident[f"shift_{i}"] = B.lam[i] == at(A.lam, i + 1)
+    for i in range(1, len(lamC)):
+        ident[f"shift2_{i}"] = lamC[i] == at(A.lam, i + 2)
 
     holds = lhs >= rhs
     if generic:
@@ -332,7 +315,7 @@ def check_dagger(
     n = len(f.vars) - 1
     if n < 1:
         return [_skip("dagger", "needs at least two variables")]
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("dagger", "Le numbers undefined")]
     if rec.s != 1:
@@ -369,7 +352,7 @@ def check_dagger(
             margin=lhs - rhs,
             homogeneous=f.homogeneous_degree() is not None,
             seed=seed,
-            generic=generic,
+            generic=frame is None,
         )
     ]
 
@@ -501,7 +484,7 @@ def check_suspension(
     g, p, axis = shape
     if not _nonreduced_at_origin(g):
         raise ValueError("not a suspension: the plane part is reduced at the origin")
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None or rec.lam[0] is None:
         return [_skip("suspension", "lambda^0 undefined")]
     mu_slice = sectional(f, len(f.vars) - 1, seed=seed)
@@ -518,7 +501,7 @@ def check_suspension(
             axis=axis,
             lam=rec.lam,
             seed=seed,
-            generic=generic,
+            generic=frame is None,
         )
     ]
 
@@ -538,7 +521,7 @@ def check_newmpr_and_easybound(
     that hypothesis with gamma^1 != 0, lower is mult f, else 1.  Both upper
     bounds are checked against lower, and, when lower exceeds 1, the
     smaller one against mult f."""
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("newmpr", "Le numbers undefined")]
     lam0 = rec.lam[0]
@@ -561,7 +544,7 @@ def check_newmpr_and_easybound(
         gam=rec.gam,
         mult=mult,
         seed=seed,
-        generic=generic,
+        generic=frame is None,
     )
     reports = [
         _rep("newmpr-simple", upper_simple, lower, upper_simple >= lower, **ctx)
@@ -602,7 +585,7 @@ def check_newmpr_and_easybound(
         lhs_j = lj + gj
         rhs_j = (mult - 1) * mnext
         holds_j = lhs_j >= rhs_j
-        if homog and generic:
+        if homog and frame is None:
             holds_j = holds_j and lhs_j == rhs_j
         reports.append(
             _rep(f"lambda-gamma-{j}", lhs_j, rhs_j, holds_j, j=j, homogeneous=homog, **ctx)
@@ -647,7 +630,7 @@ def check_leiom(
         raise ValueError("coefficient a must be nonzero")
     if m is not None and (not isinstance(m, int) or m < 2):
         raise ValueError("power m must be an integer >= 2")
-    rec, generic = _le_record(f, frame, seed, trials, bound)
+    rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
         return [_skip("leiom", "Le numbers undefined")]
     s = rec.s
@@ -728,7 +711,7 @@ def check_leiom(
         gamma1=g1,
         polar_mult=mult_g1,
         seed=seed,
-        generic=generic,
+        generic=frame is None,
     )
     reports = []
     for j in range(1, s):

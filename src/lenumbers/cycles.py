@@ -5,17 +5,15 @@ in the non-reduced structure, and unwanted components (inside the critical
 locus for polar cycles, origin-supported junk mid-pipeline) are removed by
 saturation rather than by any explicit decomposition.
 
-intersection_number slices one hypersurface at a time.  Coordinate
-hyperplanes are sliced by substitution, which shrinks the ring; a general
-form is added to the ideal.  Before the last slice the curve is saturated
-by the maximal ideal (_curve), and any improper slice makes the answer
-None (undefined) rather than a wrong integer.  The final step counts a local
-colength, which is exact because the last slice cuts a saturated (hence
-Cohen-Macaulay) curve by a nonzerodivisor.  The last slice starts from
-the grevlex basis of the ideal it cuts, the saturated curve's or, for one
-form, the input's when it carries one (groebner._slice,
+intersection_number counts one slice of a curve at the origin.  The cycle
+recursion cuts each polar variety by coordinate hyperplanes, which it
+slices by substitution, shrinking the ring, and saturates the cut by the
+maximal ideal (_cut); the last hypersurface then cuts a saturated, hence
+Cohen-Macaulay, curve, and an improper slice makes the answer None
+(undefined) rather than a wrong integer.  The last slice starts from the
+grevlex basis of the curve when it carries one (groebner._slice,
 groebner._slice_coordinate).  When the final ideal is
-zero-dimensional globally, as it usually is, that colength is counted
+zero-dimensional globally, as it usually is, its colength is counted
 with grevlex bases alone (local.truncated_quotient_dim): a
 zero-dimensional quotient splits into one local algebra per point (Cox,
 Little, O'Shea, Using Algebraic Geometry, ch. 4), and one saturation by a
@@ -179,72 +177,46 @@ def _coordinate_index(p: Polynomial) -> int | None:
     return e.index(1)
 
 
-def _curve(I: Ideal, forms: Sequence[Polynomial]) -> tuple[Ideal, Polynomial] | int | None:
-    """The curve stage of intersection_number(I, forms), with the last form
-    written in its ring.  Every form but the last cuts I, a coordinate z_i
-    by setting it to 0 (z_i leaves the ring and the later forms), any other
-    form by joining the generators, and the cut is saturated by the maximal
-    ideal; one form leaves I as it is.  A zero form gives None (undefined)
-    and one that misses the origin gives 0, before any saturation."""
-    d = len(forms)
-    gens = list(I.gens)
-    cur_vars = I.vars
-    work = list(forms)
-    for step, form in enumerate(work):
-        if form.is_zero:
-            return None
-        if form.constant_term != 0:
-            # hypersurface misses the origin; nothing left to count there
-            return 0
-        if step == d - 1:
-            break
-        i = _coordinate_index(form)
-        if i is not None and len(cur_vars) > 1:
-            gens = [g.set_var_zero(i) for g in gens]
-            for k in range(step + 1, d):
-                work[k] = work[k].set_var_zero(i)
-            cur_vars = cur_vars[:i] + cur_vars[i + 1 :]
-        else:
-            gens.append(form)
-    J = saturate(Ideal(gens, vars=cur_vars), _max_ideal(cur_vars)) if d > 1 else I
-    return J, work[-1]
+def _cut(I: Ideal, j: int) -> Ideal:
+    """I . V(z_0, ..., z_{j-1}) saturated by the maximal ideal: z_0..z_{j-1}
+    set to 0 and dropped from the ring, so z_j is its first variable."""
+    gens = I.gens
+    for _ in range(j):
+        gens = [g.set_var_zero(0) for g in gens]
+    vars = I.vars[j:]
+    return saturate(Ideal(gens, vars=vars), _max_ideal(vars))
 
 
-def intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
-    """Local intersection number at the origin of the cycle of I with the
-    given hypersurfaces, len(forms) matching the cycle dimension.
+def intersection_number(C: Ideal, form: Polynomial) -> int | None:
+    """Local intersection number at the origin of the curve of C with the
+    hypersurface V(form).
 
-    I must carry no origin-supported junk (polar ideals come back saturated)
-    and every component of V(I) must have dimension >= len(forms); both hold
-    for the cycles produced in this module.  Under that guarantee a finite
-    colength at the end certifies the whole chain: each slice cuts the
-    dimension of every component by at most one, so the curve stage J
-    (_curve), saturated by the maximal ideal, has only components of
-    dimension >= 1, and a finite final colength at the origin leaves those
-    through the origin exactly one-dimensional and every cut proper.  A J
-    that misses the origin gives 0, and one of dimension >= 2 there gives an
-    infinite colength, hence None.  The final count is exact because the
-    curve, once saturated, is Cohen-Macaulay and the last form is then a
-    nonzerodivisor.
+    C must carry no origin-supported junk and every component of V(C) must
+    have dimension >= 1; both hold for the curves the cycle recursion
+    builds: Gamma^1 comes back saturated, and each later cut is saturated
+    by the maximal ideal (_cut).  A finite colength then certifies the
+    slice: the components of C through the origin are exactly
+    one-dimensional and form cuts them properly.  A curve of dimension >= 2
+    at the origin gives an infinite colength, hence None.  The count is
+    exact because a saturated curve is Cohen-Macaulay and a form that cuts
+    it properly is a nonzerodivisor.  A zero form gives None and one that
+    misses the origin gives 0.
 
-    The final colength is counted globally (truncated_quotient_dim) when
-    the last ideal K is zero-dimensional: k[x]/K is the product of its local
+    The colength is counted globally (truncated_quotient_dim) when the
+    sliced ideal K is zero-dimensional: k[x]/K is the product of its local
     algebras, one per point (Cox-Little-O'Shea, ch. 4), and saturating K by
     a linear form that vanishes at no other point keeps all but the
     origin's.  Only when K has positive-dimensional components does the
     count fall back to the local standard basis (local_quotient_dim),
     which alone can tell a positive-dimensional germ at the origin from one
-    elsewhere.
-
-    None means undefined: an improper slice or a degenerate form."""
-    if not forms:
-        raise ValueError("need at least one hypersurface")
-    curve = _curve(I, forms)
-    if not isinstance(curve, tuple):
-        return curve
-    J, form = curve
+    elsewhere."""
+    if form.is_zero:
+        return None
+    if form.constant_term != 0:
+        # the hypersurface misses the origin; nothing to count there
+        return 0
     i = _coordinate_index(form)
-    K = _slice_coordinate(J, i) if i is not None and len(J.vars) > 1 else _slice(J, form)
+    K = _slice_coordinate(C, i) if i is not None and len(C.vars) > 1 else _slice(C, form)
     q = truncated_quotient_dim(K)
     return local_quotient_dim(K) if q is None else q
 
@@ -296,7 +268,7 @@ class LeRecord:
         s = 0 does not store it, so it is counted from its Gamma^1."""
         if self.s >= 1:
             return self.gam[0]
-        return intersection_number(self.polar[0], [Polynomial.var_index(0, self.h.vars)])
+        return intersection_number(self.polar[0], Polynomial.var_index(0, self.h.vars))
 
     def polar_mult(self, j: int) -> int | None:
         """mult Gamma^j at the origin for 1 <= j <= s+1, read off the stored
@@ -361,11 +333,11 @@ def lambda_numbers(
                 dz = dz.set_var_zero(0)  # on V(z_0, ..., z_{j-1})
             if j == s and dz.is_zero:
                 break  # lambda^s is undefined, and C_s counts nothing else
-            # C_j, with z_j written in its ring
-            C, z = _curve(polar[j], [Polynomial.var_index(i, h.vars) for i in range(j + 1)])
-        total = intersection_number(C, [dz])
+            C = _cut(polar[j], j) if j else polar[0]
+            z = Polynomial.var_index(0, C.vars)  # z_j
+        total = intersection_number(C, dz)
         if j < s:
-            gam[j + 1] = intersection_number(C, [z])
+            gam[j + 1] = intersection_number(C, z)
         if total is not None and gam[j] is not None:
             diff = total - gam[j]
             lam[j] = diff if diff >= 0 else None

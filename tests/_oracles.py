@@ -33,6 +33,11 @@ evidence:
   those and f's own partials are the smaller and carries the result
   through the frame.  polar_curve_mult reads mult Gamma^1 off it, where
   the library reads it off the Gamma^1 its Le record holds.
+- general_intersection_number cuts a cycle by any list of hypersurfaces:
+  every form but the last joins the generators, the cut is saturated by
+  the maximal ideal and the last slice is counted with Lazard's standard
+  basis, where the library cuts only by coordinates, by substitution, and
+  counts one slice of the saturated curve from its grevlex basis.
 - serial_generic_le runs the frame trials of generic_le one after another
   in this process, where the library hands all but one of each round's
   trials to forked workers.
@@ -62,6 +67,7 @@ from lenumbers.local import (
     hs_multiplicity,
     lazard_local_dim,
     local_dim,
+    local_quotient_dim,
     local_standard_basis,
 )
 from lenumbers.orders import GREVLEX, LOCAL, ExpVec, elimination_order
@@ -456,6 +462,32 @@ def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
     if ld != 1:
         raise ValueError(f"polar ideal is {ld}-dimensional, expected a curve")
     return hs_multiplicity(P)
+
+
+# -- intersection numbers -----------------------------------------------------
+
+
+def general_intersection_number(I: Ideal, forms: Sequence[Polynomial]) -> int | None:
+    """Local intersection number at the origin of the cycle of I with the
+    hypersurfaces V(form), len(forms) matching the cycle dimension.  Every
+    form but the last joins the generators, the cut is saturated by the
+    maximal ideal, and the last slice's colength is read off its Lazard
+    standard basis.  None when a form is zero or the colength is infinite
+    (an improper cut); 0 when a form misses the origin."""
+    if not forms:
+        raise ValueError("need at least one hypersurface")
+    for form in forms:
+        if form.is_zero:
+            return None
+        if form.constant_term != 0:
+            return 0
+    *cuts, last = forms
+    vars = I.vars
+    J = I
+    if cuts:
+        m = Ideal([Polynomial.var_index(i, vars) for i in range(len(vars))], vars=vars)
+        J = saturate(Ideal([*I.gens, *cuts], vars=vars), m)
+    return local_quotient_dim(Ideal([*J.gens, last], vars=vars))
 
 
 # -- generic frames -----------------------------------------------------------

@@ -134,6 +134,24 @@ def test_mainmany_shifts_past_vanishing_lambda0():
     assert rep.holds
 
 
+def test_mainmany_reads_the_lower_slice_profiles():
+    # a plane curve: the next slice is 0-dimensional, lambda^0 = 1
+    (rep,) = check_mainmany(parse("x^2*y^2", ("x", "y")), seed=0)
+    assert rep.context["next_lam"] is None
+    assert (rep.lhs, rep.rhs) == (3, 3)
+    assert rep.context["identities"] == {"slice0": True}
+    # s = 3: the next slice has a Le number above lambda^0 to shift
+    (rep,) = check_mainmany(parse("x*y*z*u", ("x", "y", "z", "u", "v")), seed=0)
+    assert rep.context["slice_lam"] == (3, 8, 6)
+    assert rep.context["next_lam"] == (9, 6)
+    assert rep.context["ks"] == (3, 27, 513)
+    assert (rep.lhs, rep.rhs) == (Fraction(27775, 57), 19)
+    assert rep.context["identities"] == dict.fromkeys(
+        ("slice0", "slice1", "shift_1", "shift_2", "shift2_1"), True
+    )
+    assert rep.holds
+
+
 def test_leiom_equality_branch():
     reports = {r.name: r for r in check_leiom(BN0, m=9, seed=0)}
     bound = reports["leiom-bound"]

@@ -16,7 +16,12 @@ from lenumbers.local import germ_in_hyperplane
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
 from _corpus import CORPUS
-from _oracles import framed_polar_ideal, germ_subset_by_saturation, polar_curve_mult
+from _oracles import (
+    framed_polar_ideal,
+    general_intersection_number,
+    germ_subset_by_saturation,
+    polar_curve_mult,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -90,37 +95,47 @@ def test_polar_curve_of_bn0():
 
 def test_intersection_number_is_local_colength():
     Z = Ideal((), vars=XY)
-    assert intersection_number(Z, [parse("x", XY), parse("y-x^2", XY)]) == 1
-    assert intersection_number(Z, [parse("y-x^2", XY), parse("y+x^2", XY)]) == 2
+    assert general_intersection_number(Z, [parse("x", XY), parse("y-x^2", XY)]) == 1
+    assert general_intersection_number(Z, [parse("y-x^2", XY), parse("y+x^2", XY)]) == 2
 
 
 def test_intersection_number_ignores_points_away_from_origin():
     # the parabola and the line also meet at (1, 1)
     Z = Ideal((), vars=XY)
-    assert intersection_number(Z, [parse("y-x^2", XY), parse("y-x", XY)]) == 1
+    assert general_intersection_number(Z, [parse("y-x^2", XY), parse("y-x", XY)]) == 1
 
 
 def test_intersection_number_improper_is_none():
     P = polar_ideal(BN0, Frame.identity(3), 1)
     # y vanishes on the polar curve, so the intersection is improper
-    assert intersection_number(P, [parse("y", XYZ)]) is None
-    assert intersection_number(P, [parse("x", XYZ)]) == 1
+    for form, want in ((parse("y", XYZ), None), (parse("x", XYZ), 1)):
+        assert general_intersection_number(P, [form]) == want
+        assert intersection_number(P, form) == want
 
 
 def test_intersection_number_curve_stage_of_dimension_two_is_none():
     # V(xy) cut by x = 0 leaves the whole (y, z)-plane: no curve to cut
     I = Ideal([parse("x*y", XYZ)], vars=XYZ)
-    assert intersection_number(I, [parse("x", XYZ), parse("y", XYZ)]) is None
+    assert general_intersection_number(I, [parse("x", XYZ), parse("y", XYZ)]) is None
+    # and one slice of a plane is a line, not a point: no count
+    YZ = ("y", "z")
+    assert intersection_number(Ideal((), vars=YZ), parse("y", YZ)) is None
 
 
 def test_intersection_number_saturated_curve_missing_the_origin_is_zero():
     # z = 0 cuts V(x(x-1), y(x-1)) in the line x = 1 and the origin; the
     # saturation drops the origin, so nothing is left to count there
     I = Ideal([parse("x*(x-1)", XYZ), parse("y*(x-1)", XYZ)], vars=XYZ)
-    assert intersection_number(I, [parse("z", XYZ), parse("y", XYZ)]) == 0
+    assert general_intersection_number(I, [parse("z", XYZ), parse("y", XYZ)]) == 0
     # a curve that never passes through the origin
     I = Ideal([parse("x-1", XYZ)], vars=XYZ)
-    assert intersection_number(I, [parse("y", XYZ), parse("z", XYZ)]) == 0
+    assert general_intersection_number(I, [parse("y", XYZ), parse("z", XYZ)]) == 0
+
+
+def test_intersection_number_of_a_zero_or_unit_form():
+    P = polar_ideal(BN0, Frame.identity(3), 1)
+    assert intersection_number(P, Polynomial.zero(XYZ)) is None
+    assert intersection_number(P, parse("1+x", XYZ)) == 0
 
 
 def test_slice_cross_check():
@@ -184,7 +199,7 @@ def test_le_record_carries_its_germ_and_polar_varieties(member):
             # None on both routes when Gamma^j is not j-dimensional
             assert rec.polar_mult(j) == polar_mult(f, frame, j), (frame, j)
         z0 = Polynomial.var_index(0, f.vars)
-        assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), [z0])
+        assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), z0)
 
 
 @pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
@@ -205,9 +220,9 @@ def test_gamma1_counts_in_the_source_coordinates_match_the_frame(member):
             Polynomial.zero(vars),
         )
         P = Ideal(polar_ideal(f, frame, 1).gens, vars=vars)
-        assert intersection_number(src, [row0]) == intersection_number(P, [z0]), frame
+        assert intersection_number(src, row0) == intersection_number(P, z0), frame
         dz0 = parts.framed[0]
-        assert intersection_number(src, [parts.source[0]]) == intersection_number(P, [dz0]), frame
+        assert intersection_number(src, parts.source[0]) == intersection_number(P, dz0), frame
 
 
 def _three_frames(n1):
@@ -243,8 +258,8 @@ def test_the_cycle_walk_saturates_each_curve_once(f, monkeypatch, serial_trials)
 @pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
 def test_the_cycle_walk_matches_the_general_route(member):
     # gamma^{j+1} = Gamma^{j+1} . V(z_0, ..., z_j) and lambda^j + gamma^j =
-    # Gamma^{j+1} . V(z_0, ..., z_{j-1}, dh/dz_j), each counted in one
-    # intersection_number call on polar_ideal
+    # Gamma^{j+1} . V(z_0, ..., z_{j-1}, dh/dz_j), each counted by the
+    # oracle on polar_ideal
     f = member.poly
     n1 = len(f.vars)
     z = [Polynomial.var_index(i, f.vars) for i in range(n1)]
@@ -255,8 +270,8 @@ def test_the_cycle_walk_matches_the_general_route(member):
         for j in range(rec.s + 1):
             P = polar_ideal(f, frame, j + 1)
             if j < rec.s:
-                gam.append(intersection_number(P, z[: j + 1]))
-            total = intersection_number(P, z[:j] + [h.partial(j)])
+                gam.append(general_intersection_number(P, z[: j + 1]))
+            total = general_intersection_number(P, z[:j] + [h.partial(j)])
             if total is None or gam[j] is None or total < gam[j]:
                 assert rec.lam[j] is None, (frame, j)
             else:
