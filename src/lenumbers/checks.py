@@ -6,6 +6,11 @@ Nothing here ever aborts a batch: an input a checker cannot decide produces
 a skip-report that says why.  Identities that are only guaranteed for
 generic coordinates are folded into the verdict exactly when the caller
 left the frame choice to us.
+
+A frame has Le numbers only when every lambda^j is defined, so checkers
+read only fully defined records (LeRecord.fully_defined, applied in
+_le_record) and otherwise skip: "Le numbers undefined" when generic_le chose
+the frame, "Le numbers undefined for this frame" when the caller gave one.
 """
 
 from __future__ import annotations
@@ -65,17 +70,24 @@ def _rep(name: str, lhs, rhs, holds: bool, **ctx) -> IneqReport:
 
 def _le_record(f, frame, seed, trials, bound):
     """The Le record of f in frame, or generic_le's when frame is None;
-    None when f is not singular at the origin or no frame gave defined Le
-    numbers (Undefined).  Every other error, a bad trials or bound among
-    them, propagates."""
+    None when f is not singular at the origin, the record is not fully
+    defined, or no frame gave defined Le numbers (Undefined).  Every other
+    error, a bad trials or bound among them, propagates."""
     if why_not_singular(f) is not None:
         return None
     if frame is not None:
-        return lambda_numbers(f, frame)
+        rec = lambda_numbers(f, frame)
+        return rec if rec.fully_defined else None
     try:
         return generic_le(f, seed=seed, trials=trials, bound=bound)
     except Undefined:
         return None
+
+
+def _undefined(name: str, frame) -> IneqReport:
+    """The skip of a checker whose _le_record gave None."""
+    where = "" if frame is None else " for this frame"
+    return _skip(name, "Le numbers undefined" + where)
 
 
 def check_funbound(
@@ -89,8 +101,8 @@ def check_funbound(
     (mult-1)^(variable count), with equality required of homogeneous
     inputs."""
     rec = _le_record(f, frame, seed, trials, bound)
-    if rec is None or any(v is None for v in rec.lam):
-        return [_skip("funbound", "Le numbers undefined for this frame")]
+    if rec is None:
+        return [_undefined("funbound", frame)]
     m1 = f.mult_origin() - 1
     lhs = sum(m1**j * rec.lam[j] for j in range(rec.s + 1))
     rhs = m1 ** len(f.vars)
@@ -166,13 +178,11 @@ def check_mainone(
         return [_skip("mainone", "needs at least two variables")]
     rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
-        return [_skip("mainone", "Le numbers undefined")]
+        return [_undefined("mainone", frame)]
     if rec.s > 1:
         return [_skip("mainone", f"critical locus has dimension {rec.s}")]
     lam0 = rec.lam[0]
     lam1 = rec.lam[1] if rec.s >= 1 else 0
-    if lam0 is None or lam1 is None:
-        return [_skip("mainone", "Le numbers undefined for this frame")]
     mun = sectional(f, n, seed=seed)
     mun1 = sectional(f, n - 1, seed=seed)
     if not mun or not mun1:
@@ -236,10 +246,8 @@ def check_mainmany(
 
     A = profile(omega + 1) if shifted else _le_record(f, frame, seed, trials, bound)
     if A is None:
-        return [_skip("mainmany", "Le numbers undefined")]
+        return [_undefined("mainmany", None if shifted else frame)]
     su = A.s
-    if any(v is None for v in A.lam):
-        return [_skip("mainmany", "Le numbers undefined for this frame")]
     B = profile(omega)
     C = profile(omega - 1) if omega - 1 >= 1 else None
     if B is None or (omega - 1 >= 1 and C is None):
@@ -271,9 +279,9 @@ def check_mainmany(
     rhs = Fraction(D, rhsden)
 
     ident: dict[str, bool] = {}
-    if A.s >= 1 and A.gam[0] is not None:
+    if A.s >= 1:
         ident["slice0"] = B.lam[0] == A.gam[0] + A.lam[1]
-    if A.s >= 2 and A.gam[1] is not None:
+    if A.s >= 2:
         ident["slice1"] = lamC[0] == A.gam[1] + A.lam[2]
     for i in range(1, B.s + 1):
         ident[f"shift_{i}"] = B.lam[i] == at(A.lam, i + 1)
@@ -317,12 +325,10 @@ def check_dagger(
         return [_skip("dagger", "needs at least two variables")]
     rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
-        return [_skip("dagger", "Le numbers undefined")]
+        return [_undefined("dagger", frame)]
     if rec.s != 1:
         return [_skip("dagger", f"critical locus has dimension {rec.s}, needs 1")]
-    lam0, lam1 = rec.lam[0], rec.lam[1]
-    if lam0 is None or lam1 is None:
-        return [_skip("dagger", "Le numbers undefined for this frame")]
+    lam0, lam1 = rec.lam
     if lam0 == 0:
         return [_skip("dagger", "lambda^0 = 0, hypotheses not met", lam0=0)]
     mun = sectional(f, n, seed=seed)
@@ -385,7 +391,6 @@ class SearchResult:
 def search_dagger(
     entries: Iterable[dict],
     seed: int = 0,
-    trials: int = 3,
     bound: int = 10,
     limit: int | None = None,
     on_report=None,
@@ -398,33 +403,32 @@ def search_dagger(
     cannot decide turn into skip-reports; malformed entries raise.  limit
     caps the number of instances; on_report sees each (params, report)
     pair as it is produced."""
+
+    def instances():
+        for entry in entries:
+            template = entry["template"]
+            grids = entry["params"]
+            vars_ = tuple(entry["vars"]) if "vars" in entry else _template_vars(template, grids)
+            if not vars_:
+                raise ValueError(f"family template {template!r} has no variables")
+            for combo in itertools.product(*grids.values()):
+                params = dict(zip(grids, combo))
+                yield params, _substitute(template, params), vars_
+
     reports = []
-    for entry in entries:
-        template = entry["template"]
-        grids = entry["params"]
-        vars_ = tuple(entry["vars"]) if "vars" in entry else _template_vars(template, grids)
-        if not vars_:
-            raise ValueError(f"family template {template!r} has no variables")
-        names = list(grids)
-        for combo in itertools.product(*(grids[name] for name in names)):
-            if limit is not None and len(reports) >= limit:
-                break
-            params = dict(zip(names, combo))
-            text = _substitute(template, params)
-            try:
-                fp = parse(text, vars_)
-            except ParseError as e:
-                raise ValueError(f"family instance {text!r}: {e}") from e
-            if why_not_singular(fp) is not None:
-                rep = _skip("dagger", "not singular at the origin", instance=text)
-            else:
-                (rep,) = check_dagger(fp, seed=seed, trials=trials, bound=bound)
-            rep = replace(rep, context={**rep.context, "instance": text, "params": params})
-            reports.append((params, rep))
-            if on_report is not None:
-                on_report(params, rep)
-        if limit is not None and len(reports) >= limit:
-            break
+    for params, text, vars_ in itertools.islice(instances(), limit):
+        try:
+            fp = parse(text, vars_)
+        except ParseError as e:
+            raise ValueError(f"family instance {text!r}: {e}") from e
+        if why_not_singular(fp) is not None:
+            rep = _skip("dagger", "not singular at the origin", instance=text)
+        else:
+            (rep,) = check_dagger(fp, seed=seed, bound=bound)
+        rep = replace(rep, context={**rep.context, "instance": text, "params": params})
+        reports.append((params, rep))
+        if on_report is not None:
+            on_report(params, rep)
     candidates = tuple(
         sorted(
             (pr for pr in reports if not pr[1].skipped),
@@ -485,8 +489,8 @@ def check_suspension(
     if not _nonreduced_at_origin(g):
         raise ValueError("not a suspension: the plane part is reduced at the origin")
     rec = _le_record(f, frame, seed, trials, bound)
-    if rec is None or rec.lam[0] is None:
-        return [_skip("suspension", "lambda^0 undefined")]
+    if rec is None:
+        return [_undefined("suspension", frame)]
     mu_slice = sectional(f, len(f.vars) - 1, seed=seed)
     if mu_slice is None:
         return [_skip("suspension", "hyperplane slice not isolated")]
@@ -523,10 +527,8 @@ def check_newmpr_and_easybound(
     smaller one against mult f."""
     rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
-        return [_skip("newmpr", "Le numbers undefined")]
+        return [_undefined("newmpr", frame)]
     lam0 = rec.lam[0]
-    if lam0 is None:
-        return [_skip("newmpr", "lambda^0 undefined for this frame")]
     mult = f.mult_origin()
     g1 = rec.gamma1()
     # mult Gamma^1, read once: the hypothesis needs it when gamma^1 is
@@ -576,13 +578,10 @@ def check_newmpr_and_easybound(
             )
     homog = f.homogeneous_degree() is not None
     for j in range(1, rec.s + 1):
-        lj, gj = rec.lam[j], rec.gam[j - 1]
-        if lj is None or gj is None:
-            continue
         mnext = rec.polar_mult(j + 1)
         if mnext is None:
             continue
-        lhs_j = lj + gj
+        lhs_j = rec.lam[j] + rec.gam[j - 1]
         rhs_j = (mult - 1) * mnext
         holds_j = lhs_j >= rhs_j
         if homog and frame is None:
@@ -616,7 +615,8 @@ def check_leiom(
     drop, existence) gate everything: a coefficient that fails them is
     replaced, walking a deterministic ladder, and only claim failures
     count as findings.  A given a must be nonzero and a given m at least
-    2; both are checked before anything is computed.
+    2; both are checked before anything is computed, and only then is a
+    germ in one variable skipped.
 
     The first coefficient's transform record is computed speculatively, in
     a worker when one is free (cycles._beside), while the caller runs the
@@ -630,14 +630,14 @@ def check_leiom(
         raise ValueError("coefficient a must be nonzero")
     if m is not None and (not isinstance(m, int) or m < 2):
         raise ValueError("power m must be an integer >= 2")
+    if len(f.vars) < 2:
+        return [_skip("leiom", "needs at least two variables")]
     rec = _le_record(f, frame, seed, trials, bound)
     if rec is None:
-        return [_skip("leiom", "Le numbers undefined")]
+        return [_undefined("leiom", frame)]
     s = rec.s
     lam0 = rec.lam[0]
     lam1 = rec.lam[1] if s >= 1 else 0
-    if lam0 is None or lam1 is None:
-        return [_skip("leiom", "Le numbers undefined for this frame")]
     if m is None:
         m = 2 if lam0 == 0 else 1 + lam0
     h = rec.h
@@ -692,7 +692,7 @@ def check_leiom(
         recg = _answer(task, reply)
         if isinstance(recg, Exception):
             raise recg
-        if any(v is None for v in recg.lam):
+        if not recg.fully_defined:
             failures.append(f"a={av}: Le numbers of the transform undefined")
             continue
         chosen = (av, recg)
@@ -715,11 +715,8 @@ def check_leiom(
     )
     reports = []
     for j in range(1, s):
-        lj = rec.lam[j + 1]
-        if lj is None:
-            continue
         lhs_j = recg.lam[j]
-        rhs_j = (m - 1) * lj
+        rhs_j = (m - 1) * rec.lam[j + 1]
         reports.append(_rep(f"leiom-shift-{j}", lhs_j, rhs_j, lhs_j == rhs_j, **ctx))
     ub = lam0 + (m - 1) * lam1
     l0g = recg.lam[0]

@@ -295,7 +295,7 @@ def _cmd_compute(args) -> int:
             values["slice_check"] = slice_check(f, frame, rec)
         le = _le_json(rec)
         frame_obj = _frame_json(rec.frame, rec.frame.seed)
-        if not all(v is not None for v in rec.lam):
+        if not rec.fully_defined:
             code = 2
         if not args.json_out:
             _print_record(rec, values)

@@ -95,11 +95,12 @@ class _Partials:
     framed[i] is dh/dz_i in the frame's coordinates.  source[i] is
     sum_k B[k][i] * df/dx_k with B = frame.inverse: the same partial
     in f's own coordinates, since apply_frame(source[i], frame) ==
-    framed[i] by the chain rule."""
+    framed[i] by the chain rule.  polars keeps what _polar_of saturated."""
 
     frame: Frame
     framed: tuple[Polynomial, ...]
     source: tuple[Polynomial, ...]
+    polars: dict = field(default_factory=dict, compare=False)
 
 
 def _partials(f: Polynomial, h: Polynomial, frame: Frame) -> _Partials:
@@ -130,8 +131,9 @@ def _polar_of(parts: _Partials, j: int, s: int | None = None) -> tuple[Ideal, Id
     coordinates it was mapped from, None when there is none.
 
     When the critical dimension s is known, a principal ideal with j > s
-    needs no saturation: principal ideals are unmixed, and their components
-    have dimension j, too big to fit inside the critical locus.
+    needs no saturation, as a germ at the origin: it has no embedded
+    components, and its components have dimension n >= j > s (h has n+1
+    variables), so none fits inside the critical locus near the origin.
 
     Otherwise the saturation runs in whichever coordinates give the fewer
     terms in all, the frame's or f's own.  apply_frame is a ring
@@ -139,7 +141,9 @@ def _polar_of(parts: _Partials, j: int, s: int | None = None) -> tuple[Ideal, Id
     partials and mapping the generators of the result through the frame
     gives the same ideal as saturating the framed partials.  The mapped
     generators are kept as they are, not recomputed into a basis.  A
-    permutation frame ties and stays in the frame's coordinates."""
+    permutation frame ties and stays in the frame's coordinates.  A zero
+    dh/dz_j gives Gamma^{j+1} the generators of Gamma^j: each (I, J) is
+    saturated once."""
     n1 = len(parts.framed)
     vars = parts.framed[0].vars
     if not 1 <= j <= n1 + 1:
@@ -153,10 +157,12 @@ def _polar_of(parts: _Partials, j: int, s: int | None = None) -> tuple[Ideal, Id
     use = parts.source if pull else parts.framed
     # saturating by the critical ideal only tests the partials below j: the
     # generators above vanish on every component of their own zero set
-    P = saturate(Ideal(use[j:], vars=vars), Ideal(use[:j], vars=vars))
-    if not pull:
-        return P, None
-    return Ideal([apply_frame(g, parts.frame) for g in P.gens], vars=vars), P
+    I, J = Ideal(use[j:], vars=vars), Ideal(use[:j], vars=vars)
+    if (I.gens, J.gens) not in parts.polars:
+        P = saturate(I, J)
+        Q = Ideal([apply_frame(g, parts.frame) for g in P.gens], vars=vars) if pull else P
+        parts.polars[I.gens, J.gens] = (Q, P if pull else None)
+    return parts.polars[I.gens, J.gens]
 
 
 def polar_ideal(f: Polynomial, frame: Frame, j: int) -> Ideal:
@@ -234,12 +240,9 @@ class LeRecord:
     equality.  Each stored Gamma^j is, as a germ at the origin, the one
     polar_ideal gives, so gamma1 and polar_mult read it as it is: for j <= s
     it is saturated just as polar_ideal saturates it, and a principal
-    Gamma^j with j > s is kept unsaturated (_polar_of).  That is the same
-    germ at 0: a principal ideal has no embedded components, and its
-    components have dimension n >= j > s (h has n+1 variables), so none of
-    them fits inside the critical locus of h near the origin, and
-    saturation removes nothing there.  Only lambda_numbers builds records;
-    the frame carries the seed it was drawn from."""
+    Gamma^j with j > s is kept unsaturated, the same germ at 0 (_polar_of).
+    Only lambda_numbers builds records; the frame carries the seed it was
+    drawn from."""
 
     s: int
     lam: tuple
@@ -250,9 +253,8 @@ class LeRecord:
 
     @property
     def fully_defined(self) -> bool:
-        return all(v is not None for v in self.lam) and all(
-            v is not None for v in self.gam
-        )
+        # lambda^j is set only where gamma^j is defined
+        return None not in self.lam
 
     def lex_key(self) -> tuple:
         """(lambda^s, ..., lambda^0, gamma^s, ..., gamma^1); generic frames

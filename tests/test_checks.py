@@ -14,7 +14,7 @@ from lenumbers.checks import (
     check_teissier,
     search_dagger,
 )
-from lenumbers.cycles import LeRecord, sigma_ideal
+from lenumbers.cycles import LeRecord, lambda_numbers, sigma_ideal
 from lenumbers.groebner import Ideal
 from lenumbers.local import germ_in_hyperplane, local_dim
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
@@ -43,6 +43,45 @@ def test_funbound_skips_on_degenerate_frame():
     (rep,) = check_funbound(BY_NAME["x2y2"].poly, frame=Frame.identity(2))
     assert rep.skipped
     assert "undefined" in rep.reason
+
+
+# every checker that reads a Le record
+RECORD_READERS = (
+    check_funbound,
+    check_mainone,
+    check_mainmany,
+    check_dagger,
+    check_suspension,
+    check_newmpr_and_easybound,
+    check_leiom,
+)
+
+
+def _reports(checker, f, frame):
+    """checker's reports on f in frame; none for an input check_suspension
+    rejects by its shape."""
+    try:
+        return checker(f, frame=frame, seed=0)
+    except ValueError as e:
+        assert checker is check_suspension and "not a suspension" in str(e)
+        return []
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_checkers_read_only_fully_defined_records(member):
+    # a frame with one undefined lambda^j has no Le numbers, so nothing is
+    # read off it; check_mainmany's shifted statement reads only generic
+    # slice profiles, not the framed record
+    f = member.poly
+    n1 = len(f.vars)
+    for frame in (Frame.identity(n1), Frame.rotation(n1)):
+        if lambda_numbers(f, frame).fully_defined:
+            continue
+        for checker in RECORD_READERS:
+            for rep in _reports(checker, f, frame):
+                assert rep.skipped or rep.context.get("shifted"), (checker, frame, rep)
+                if rep.skipped and checker is not check_mainmany:
+                    assert rep.reason == "Le numbers undefined for this frame"
 
 
 def test_checker_errors_propagate_instead_of_skipping(monkeypatch):
@@ -321,6 +360,18 @@ def test_leiom_ladder_tries_distinct_coefficients(monkeypatch, a, ladder):
     assert len(rep.context["failures"]) == checks.LEIOM_COEFFS
 
 
+def test_leiom_skips_a_one_variable_germ_after_checking_a_and_m():
+    x2 = parse("x^2", ("x",))
+    with pytest.raises(ValueError, match="coefficient a"):
+        check_leiom(x2, a=0)
+    with pytest.raises(ValueError, match="power m"):
+        check_leiom(x2, m=1)
+    for frame in (None, Frame.identity(1)):
+        (rep,) = check_leiom(x2, frame=frame)
+        assert rep.skipped
+        assert rep.reason == "needs at least two variables"
+
+
 def test_leiom_rejects_a_zero_coefficient():
     with pytest.raises(ValueError, match="coefficient a must be nonzero"):
         check_leiom(BN0, m=2, a=0)
@@ -337,6 +388,15 @@ def test_suspension_of_fat_cusp():
     assert (rep.lhs, rep.rhs) == (5, 3)
     assert rep.holds
     assert rep.context["power"] == 2
+
+
+def test_suspension_skips_an_undefined_frame():
+    # the identity frame leaves lambda^1 of x^2*y^2 undefined, so its
+    # lambda^0 = 0 is no counterexample
+    reps = check_suspension(BY_NAME["x2y2"].poly, frame=Frame.identity(2))
+    assert [(r.skipped, r.reason) for r in reps] == [
+        (True, "Le numbers undefined for this frame")
+    ]
 
 
 def test_suspension_shape_rejection():
@@ -373,6 +433,15 @@ def test_newmpr_skips_degenerate_frame():
         BY_NAME["cylinder"].poly, frame=Frame.identity(3)
     )
     assert rep.skipped
+
+
+def test_newmpr_skips_a_frame_with_one_undefined_le_number():
+    f = BY_NAME["axes"].poly
+    assert lambda_numbers(f, Frame.identity(3)).lam[0] is not None
+    reps = check_newmpr_and_easybound(f, frame=Frame.identity(3))
+    assert [(r.skipped, r.reason) for r in reps] == [
+        (True, "Le numbers undefined for this frame")
+    ]
 
 
 def test_newmpr_reads_mult_gamma1_at_most_once(monkeypatch, serial_trials):

@@ -114,6 +114,21 @@ def test_check_skip_exits_2(capsys):
     assert "skipped" in out
 
 
+def test_check_suspension_in_an_undefined_frame_exits_2(capsys):
+    code, out, _ = run(
+        capsys, "check", "suspension", "-f", "x^2*y^2", "--vars", "x,y",
+        "--frame", "identity",
+    )
+    assert code == 2
+    assert "skipped (Le numbers undefined for this frame)" in out
+
+
+def test_check_leiom_on_one_variable_exits_2(capsys):
+    code, out, _ = run(capsys, "check", "leiom", "-f", "x^2", "--vars", "x")
+    assert code == 2
+    assert "skipped (needs at least two variables)" in out
+
+
 def test_check_leiom_flags(capsys):
     code, obj, _ = run_json(
         capsys, "check", "leiom", *BN0_ARGS, "-m", "9", "--seed", "0"

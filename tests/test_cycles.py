@@ -15,7 +15,7 @@ from lenumbers.groebner import Ideal, saturate
 from lenumbers.local import germ_in_hyperplane
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
-from _corpus import CORPUS
+from _corpus import BY_NAME, CORPUS
 from _oracles import (
     framed_polar_ideal,
     general_intersection_number,
@@ -63,6 +63,15 @@ def test_nonreduced_plane_curve():
     # the identity frame is degenerate here: lambda^0 improper
     bad = lambda_numbers(X2Y2)
     assert not bad.fully_defined
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_fully_defined_is_every_lambda_and_gamma_defined(member):
+    f = member.poly
+    n1 = len(f.vars)
+    for frame in (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1)):
+        rec = lambda_numbers(f, frame)
+        assert rec.fully_defined == (None not in rec.lam + rec.gam)
 
 
 def test_generic_le_is_deterministic():
@@ -369,6 +378,30 @@ def _saturated_by_polar_of(monkeypatch, f, frame):
         polar_ideal(f, frame, j)
     monkeypatch.undo()
     return calls
+
+
+@pytest.mark.parametrize(
+    "name, frame",
+    [("planes", Frame.rotation(3)), ("q4", Frame.identity(4)), ("cuspsheet", Frame.rotation(4))],
+)
+def test_lambda_numbers_saturates_each_pair_once(monkeypatch, name, frame):
+    # each of these frames makes a partial dh/dz_j, j >= 1, identically
+    # zero, so Gamma^j and Gamma^{j+1} are one saturation
+    f = BY_NAME[name].poly
+    pairs = []
+    saturate = cycles.saturate
+
+    def recording(I, J):
+        pairs.append((I.gens, J.gens))
+        return saturate(I, J)
+
+    assert any(apply_frame(f, frame).partial(j).is_zero for j in range(1, len(f.vars)))
+    monkeypatch.setattr(cycles, "saturate", recording)
+    rec = lambda_numbers(f, frame)
+    monkeypatch.undo()
+    assert pairs and len(set(pairs)) == len(pairs)
+    want = lambda_numbers(f, frame)
+    assert [P.gens for P in rec.polar] == [P.gens for P in want.polar]
 
 
 def test_polar_saturation_runs_on_the_sparse_partials(monkeypatch):
