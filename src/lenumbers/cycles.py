@@ -13,14 +13,14 @@ Cohen-Macaulay, curve, and an improper slice makes the answer None
 (undefined) rather than a wrong integer.  The last slice starts from the
 grevlex basis of the curve when it carries one (groebner._slice,
 groebner._slice_coordinate).  When the final ideal is
-zero-dimensional globally, as it usually is, its colength is counted
-with grevlex bases alone (local.truncated_quotient_dim): a
-zero-dimensional quotient splits into one local algebra per point (Cox,
-Little, O'Shea, Using Algebraic Geometry, ch. 4), and one saturation by a
-linear form certified to vanish at no other point removes exactly the
-origin's.  The local standard basis (local_quotient_dim) is the fallback
-for final ideals with positive-dimensional components, at the origin or
-elsewhere.
+zero-dimensional globally, as it usually is, its colength is counted by
+local.truncated_quotient_dim: a zero-dimensional quotient splits into one
+local algebra per point (Cox, Little, O'Shea, Using Algebraic Geometry,
+ch. 4).  A small one with points besides the origin takes one local
+standard basis, and a large one a saturation by a linear form certified
+to vanish at no other point.  The local standard basis
+(local_quotient_dim) also counts final ideals with positive-dimensional
+components, at the origin or elsewhere.
 
 Each relative polar variety Gamma^j = V(dh/dz_j, ..., dh/dz_n) :
 (dh/dz_0, ..., dh/dz_{j-1})^infinity of h = apply_frame(f, frame) is
@@ -41,10 +41,10 @@ local numbers are the same.
 
 Each decision about the input is made in one place: why_not_singular says
 whether f is singular at the origin, and slice_lam0 gives lambda^0 of the
-slice h|V(z0).  A LeRecord carries the reframed h and the polar ideals
-Gamma^1..Gamma^{s+1} that its cycle recursion built, so gamma^1 and
-mult Gamma^j are read off the record (LeRecord.gamma1, LeRecord.polar_mult)
-and no polar variety of it is saturated twice.
+slice h|V(z0), read off Gamma^1 alone.  A LeRecord carries the reframed h
+and the polar ideals Gamma^1..Gamma^{s+1} that its cycle recursion built,
+so gamma^1 and mult Gamma^j are read off the record (LeRecord.gamma1,
+LeRecord.polar_mult) and no polar variety of it is saturated twice.
 
 generic_le's frame trials share nothing, so each round runs them at once:
 the caller computes one, and forked worker processes (_Worker), started on
@@ -208,14 +208,12 @@ def intersection_number(C: Ideal, form: Polynomial) -> int | None:
     it properly is a nonzerodivisor.  A zero form gives None and one that
     misses the origin gives 0.
 
-    The colength is counted globally (truncated_quotient_dim) when the
-    sliced ideal K is zero-dimensional: k[x]/K is the product of its local
-    algebras, one per point (Cox-Little-O'Shea, ch. 4), and saturating K by
-    a linear form that vanishes at no other point keeps all but the
-    origin's.  Only when K has positive-dimensional components does the
-    count fall back to the local standard basis (local_quotient_dim),
-    which alone can tell a positive-dimensional germ at the origin from one
-    elsewhere."""
+    The colength of the sliced ideal K is counted by truncated_quotient_dim
+    when K is zero-dimensional: k[x]/K is the product of its local
+    algebras, one per point (Cox-Little-O'Shea, ch. 4).  When K has
+    positive-dimensional components the count falls back to the local
+    standard basis (local_quotient_dim), which alone can tell a
+    positive-dimensional germ at the origin from one elsewhere."""
     if form.is_zero:
         return None
     if form.constant_term != 0:
@@ -600,12 +598,15 @@ def _cycle_mult(P: Ideal, j: int) -> int | None:
 
 
 def slice_lam0(h: Polynomial) -> int | None:
-    """lambda^0 of h restricted to the hyperplane V(z0), in the identity
-    frame of the slice; None unless the slice is singular at the origin."""
+    """lambda^0 of h0 = h restricted to the hyperplane V(z0), in the
+    identity frame of the slice: Gamma^1 . V(dh0/dz0), Gamma^1 saturated
+    (the germ at 0 lambda_numbers(h0) counts).  None unless h0 is
+    singular at the origin, and when the intersection is undefined."""
     h0 = h.set_var_zero(0)
     if why_not_singular(h0) is not None:
         return None
-    return lambda_numbers(h0).lam[0]
+    parts = _partials(h0, h0, Frame.identity(len(h0.vars)))
+    return intersection_number(_polar_of(parts, 1)[0], parts.framed[0])
 
 
 def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:

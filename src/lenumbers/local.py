@@ -24,10 +24,11 @@ V(I : x_i^infinity), a saturation with no auxiliary variable
 
 Colengths have two production routes.  local_quotient_dim counts with the
 Lazard standard basis and works for any ideal.  truncated_quotient_dim is
-the route tried first for the last step of cycles.intersection_number; for
-an ideal that is zero-dimensional globally it counts with grevlex bases
-only.  Let N be the total colength.  When the origin is the only point the
-answer is N.  Otherwise a linear form g is chosen that vanishes at no other
+tried first for the last step of cycles.intersection_number and returns
+None unless the ideal is zero-dimensional globally.  Let N be its total
+colength.  Up to a small N, N is the answer when the origin is V(I)'s only
+point, and one Lazard basis counts otherwise.  Above it the count uses
+grevlex bases only: a linear form g is chosen that vanishes at no other
 point of V(I), certified by x_i^N2 lying in I + (g) for every i, where
 N2 = colength(I + (g)), whose basis completes I's (groebner._slice); the
 answer is then N - colength(I : g^infinity), one saturation.  That is
@@ -35,8 +36,7 @@ exact because a zero-dimensional quotient is the product of its local
 algebras, one per point (Cox, Little, O'Shea, Using Algebraic Geometry,
 ch. 4), and saturating by g removes exactly the factors at the zeros of
 g.  On large final ideals this is far cheaper than the homogenized local
-computation.  For any other ideal it returns None and local_quotient_dim
-is used instead.
+computation.
 
 The tests check both against independent oracles kept beside them
 (tests/_oracles.py): Mora's tangent cone algorithm, a staircase count, and
@@ -223,8 +223,8 @@ def local_quotient_dim(I: Ideal) -> int | None:
 
 
 # The origin-only test x_i^N in I reduces powers of degree N, at a cost
-# that grows with N; above this colength the saturation reaches the same
-# answer sooner.
+# that grows with N; up to this colength the test and, when it fails, one
+# Lazard basis are cheaper than the ladder, and above it the ladder is.
 _SHORTCUT_MAX = 16
 
 
@@ -241,28 +241,36 @@ def _ladder(vars: tuple[str, ...]):
 
 
 def truncated_quotient_dim(I: Ideal) -> int | None:
-    """local_quotient_dim for a globally zero-dimensional I, counted with
-    global Groebner bases only; None when I is not zero-dimensional.
+    """local_quotient_dim for a globally zero-dimensional I; None when I is
+    not zero-dimensional.
 
     k[x]/I of dimension N is the product of its local algebras A_p, one per
     point p of V(I) (Cox, Little, O'Shea, Using Algebraic Geometry, ch. 4).
     x_i is nilpotent on A_p, of index at most dim A_p, exactly when
-    x_i(p) = 0.  So when x_i^N lies in I for every i the origin is the only
-    point and the answer is N; that test is made only for N up to
-    _SHORTCUT_MAX.  Otherwise walk the linear forms g of _ladder, with
-    N2 = colength(I + (g)).  N2 = 0 means g vanishes at no point of V(I),
-    so the origin is not one and the answer is 0.  Else x_i^N2 in I + (g)
-    for every i certifies that the origin is the only zero of g on V(I);
-    a form that fails the certificate is replaced by the next.  Saturating
-    by a certified g removes exactly the factor A_0, so the answer is
-    N - colength(I : g^infinity)."""
+    x_i(p) = 0.  So for N up to _SHORTCUT_MAX, x_i^N in I for every i
+    means the origin is the only point and the answer is N; when the test
+    fails, local_quotient_dim(I) counts.  Larger N take _ladder_quotient_dim."""
     basis = I.groebner(GREVLEX)
     N = _colength(basis)
     if N is None or N == 0:
         return N
+    if N > _SHORTCUT_MAX:
+        return _ladder_quotient_dim(I)
     xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
-    if N <= _SHORTCUT_MAX and all(basis.contains(x**N) for x in xs):
-        return N
+    return N if all(basis.contains(x**N) for x in xs) else local_quotient_dim(I)
+
+
+def _ladder_quotient_dim(I: Ideal) -> int:
+    """local_quotient_dim of a globally zero-dimensional I of colength N,
+    from grevlex bases: walk the linear forms g of _ladder, with
+    N2 = colength(I + (g)).  N2 = 0 means g vanishes at no point of V(I),
+    so the origin is not one and the answer is 0.  Else x_i^N2 in I + (g)
+    for every i certifies that the origin is the only zero of g on V(I);
+    a form that fails the certificate is replaced by the next.  Saturating
+    by a certified g removes exactly the factor A_0 of k[x]/I, so the
+    answer is N - colength(I : g^infinity)."""
+    N = _colength(I.groebner(GREVLEX))
+    xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
     for g in _ladder(I.vars):
         Kg = _slice(I, g).groebner(GREVLEX)
         N2 = _colength(Kg)

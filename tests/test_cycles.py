@@ -10,6 +10,8 @@ from lenumbers.cycles import (
     polar_mult,
     sigma_ideal,
     slice_check,
+    slice_lam0,
+    why_not_singular,
 )
 from lenumbers.groebner import Ideal, saturate
 from lenumbers.local import germ_in_hyperplane
@@ -426,3 +428,26 @@ def test_polar_saturation_under_a_permutation_runs_on_the_framed_partials(monkey
     for j, (I, J) in enumerate(calls, start=1):
         assert I.gens == Ideal([h.partial(i) for i in range(j, 3)], vars=XYZ).gens
         assert J.gens == Ideal([h.partial(i) for i in range(j)], vars=XYZ).gens
+
+
+@pytest.mark.parametrize(
+    "f", [m.poly for m in CORPUS] + [SURFACE], ids=[m.name for m in CORPUS] + ["surface"]
+)
+def test_slice_lam0_is_lambda0_of_the_full_walk(f, monkeypatch):
+    # every kind of None is met: a slice that is not singular at the origin
+    # (x2y2 under the identity: h0 = 0), dh0/dz0 = 0 (axes under the
+    # identity: h0 = z^4) and an improper intersection (cuspsheet)
+    n1 = len(f.vars)
+    for frame in (*_three_frames(n1), Frame.random(n1, 0), Frame.random(n1, 2)):
+        h = apply_frame(f, frame)
+        h0 = h.set_var_zero(0)
+        singular = why_not_singular(h0) is None
+        want = lambda_numbers(h0).lam[0] if singular else None
+        counted, dims = [], []
+        with monkeypatch.context() as m:
+            count = cycles.intersection_number
+            m.setattr(cycles, "intersection_number", lambda C, g: counted.append(g) or count(C, g))
+            m.setattr(cycles, "local_dim", lambda I: dims.append(I))
+            assert slice_lam0(h) == want, frame
+        assert dims == []
+        assert len(counted) == int(singular)

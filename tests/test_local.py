@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenumbers.cycles as cycles
 import lenumbers.local as local
-from lenumbers.cycles import sigma_ideal
+from lenumbers.cycles import lambda_numbers, sigma_ideal
 from lenumbers.groebner import Ideal, _to_int
 from lenumbers.local import (
+    _ladder_quotient_dim,
     _minimalize,
     hilbert_numerator,
     hs_multiplicity,
@@ -19,7 +21,7 @@ from lenumbers.local import (
     truncated_quotient_dim,
 )
 from lenumbers.orders import GREVLEX, LOCAL
-from lenumbers.poly import Polynomial, iomdine, parse, restrict
+from lenumbers.poly import Frame, Polynomial, iomdine, parse, restrict
 
 from _corpus import CORPUS
 from _oracles import (
@@ -350,3 +352,107 @@ def test_saturation_route_walks_past_forms_with_other_zeros():
     q = [parse(t, XYZ) for t in ("x", "y+1", "z-1")]
     K = Ideal([a * b * c for a in J.gens for b in p for c in q], vars=XYZ)
     assert truncated_quotient_dim(K) == local_quotient_dim(J) == local_quotient_dim(K)
+
+
+# -- the ladder, which the public route takes only above _SHORTCUT_MAX -------
+
+
+def _count_saturations(monkeypatch) -> list:
+    """Every (ideal, form) the colength count saturates from now on."""
+    calls = []
+    saturate = local._saturate_principal
+
+    def counting(K, g):
+        calls.append((K, g))
+        return saturate(K, g)
+
+    monkeypatch.setattr(local, "_saturate_principal", counting)
+    return calls
+
+
+def test_ladder_branches():
+    assert _ladder_quotient_dim(I("x^2", "x*y", "y^3")) == 4
+    assert _ladder_quotient_dim(I("(1+x)*x^2", "y^2")) == 4
+    assert _ladder_quotient_dim(I("x-1", "y")) == 0
+    assert _ladder_quotient_dim(I("1")) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points_away_from_origin(), st.one_of(st.just([]), _germ_at_origin()))
+def test_ladder_agrees_with_lazard_and_mora(points, germ):
+    K = _vanishing_at(points, germ)
+    if dim(K) > 0:
+        return
+    d = _ladder_quotient_dim(K)
+    at_origin = Ideal(germ or [Polynomial.constant(1, XY)], vars=XY)
+    assert d == local_quotient_dim(K) == mora_quotient_dim(at_origin)
+    if not germ:
+        assert d == 0
+
+
+def test_ladder_walks_past_forms_with_other_zeros(monkeypatch):
+    saturations = _count_saturations(monkeypatch)
+    germ = [parse("x^2", XY), parse("y^3", XY)]
+    K = _vanishing_at([(0, 1), (1, 0), (1, -1)], germ)
+    assert _ladder_quotient_dim(K) == 6 == local_quotient_dim(K)
+    # x, y and x + y fail the certificate; x + 2y is saturated by
+    assert [g for _, g in saturations] == [parse("x+2*y", XY)]
+    J = I("x^2-y*z", "y^2", "z^3", vars=XYZ)
+    p = [parse(t, XYZ) for t in ("x", "y-1", "z+1")]
+    q = [parse(t, XYZ) for t in ("x", "y+1", "z-1")]
+    K = Ideal([a * b * c for a in J.gens for b in p for c in q], vars=XYZ)
+    assert _ladder_quotient_dim(K) == local_quotient_dim(J) == local_quotient_dim(K)
+
+
+def test_public_route_takes_the_ladder_above_the_shortcut(monkeypatch):
+    # the germ (x^5, y^4) alone has colength 20 > _SHORTCUT_MAX
+    saturations = _count_saturations(monkeypatch)
+    germ = [parse("x^5", XY), parse("y^4", XY)]
+    K = _vanishing_at([(0, 1), (1, 0), (1, -1)], germ)
+    assert local_quotient_dim(Ideal(germ, vars=XY)) == 20 > local._SHORTCUT_MAX
+    assert truncated_quotient_dim(K) == 20 == local_quotient_dim(K)
+    assert len(saturations) == 1
+    assert _ladder_quotient_dim(K) == 20
+
+
+def test_small_ideal_with_another_point_takes_one_lazard_basis(monkeypatch):
+    saturations = _count_saturations(monkeypatch)
+    lazard = _count_lazard(monkeypatch)
+    K = I("(1+x)*x^2", "y^2")
+    assert truncated_quotient_dim(K) == 4
+    assert saturations == []
+    assert lazard == [K]
+
+
+def _corpus_final_ideals(monkeypatch) -> dict:
+    """Every final ideal K that intersection_number counts for the corpus
+    under Frame.random(n, 0..2), keyed by its ring and generators."""
+    seen = {}
+    truncated = cycles.truncated_quotient_dim
+
+    def recording(K):
+        seen[K.vars, K.gens] = K
+        return truncated(K)
+
+    with monkeypatch.context() as m:
+        m.setattr(cycles, "truncated_quotient_dim", recording)
+        for member in CORPUS:
+            for k in range(3):
+                lambda_numbers(member.poly, Frame.random(len(member.vars), k))
+    return seen
+
+
+def test_routes_agree_on_the_corpus_final_ideals(monkeypatch):
+    small_elsewhere = 0
+    for vars, gens in _corpus_final_ideals(monkeypatch):
+        # each route on its own copy, so none reads a basis another built
+        d = truncated_quotient_dim(Ideal(gens, vars=vars))
+        want = local_quotient_dim(Ideal(gens, vars=vars))
+        if d is None:
+            assert dim(Ideal(gens, vars=vars)) > 0
+            continue
+        assert d == want == _ladder_quotient_dim(Ideal(gens, vars=vars))
+        N = local._colength(Ideal(gens, vars=vars).groebner())
+        small_elsewhere += d < N <= local._SHORTCUT_MAX
+    # the public route's Lazard branch is among them
+    assert small_elsewhere > 0
