@@ -55,6 +55,10 @@ hands one worker the record of its first transform while the caller checks
 that transform, and uses the record only if the checks pass.  Both go
 through one protocol (_beside, _answer): a task no worker answers is
 computed in the caller.
+
+generic_le keeps the last record it returned, and only that one: the
+checkers that run on one germ after it ask for the same record, and an
+immediately repeated request gets the same read-only object back.
 """
 
 from __future__ import annotations
@@ -550,6 +554,10 @@ class Undefined(RuntimeError):
     generic_le found no frame with defined Le numbers."""
 
 
+# generic_le's last request (f, seed, trials, bound) and the record it returned
+_LAST: tuple = (None, None)
+
+
 def generic_le(
     f: Polynomial, seed: int = 0, trials: int = 3, bound: int = 10
 ) -> LeRecord:
@@ -561,10 +569,20 @@ def generic_le(
     The frames of a round are computed at once, in up to min(trials - 1,
     usable CPUs) forked worker processes and the caller (_lambda_trials),
     and compared in trial order, so ties keep the earliest frame and the
-    record is the one a serial loop returns, h and polar included."""
+    record is the one a serial loop returns, h and polar included.
+
+    Exactly one record is kept: a request equal to the one just answered,
+    f (variables included), seed, trials and bound alike, returns that same
+    record object, read-only, and computes nothing.  Any other returned
+    record replaces it; Undefined leaves it as it was."""
+    global _LAST
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _validate_singular(f)
+    key = (f, seed, trials, bound)
+    last_key, last = _LAST
+    if last_key == key:
+        return last
     n1 = len(f.vars)
     s = local_dim(sigma_ideal(f))
     best = None
@@ -578,6 +596,7 @@ def generic_le(
             if rec.fully_defined and (best is None or rec.lex_key() < best.lex_key()):
                 best = rec
         if best is not None:
+            _LAST = (key, best)
             return best
         b *= 2
     raise Undefined(

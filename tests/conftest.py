@@ -18,6 +18,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+@pytest.fixture(autouse=True)
+def empty_le_slot():
+    """Start every test with no record kept by generic_le, so that no test
+    gets a record that an earlier test computed."""
+    cycles._LAST = (None, None)
+
+
 @pytest.fixture
 def serial_trials(monkeypatch):
     """Compute every frame trial of generic_le, and check_leiom's transform
@@ -29,6 +36,7 @@ def serial_trials(monkeypatch):
     with a pool size of 0 the caller computes everything.  A test that
     patches or spies on code under lambda_numbers and then reaches generic_le
     or check_leiom takes this fixture, so that the patched code runs every
-    computation."""
+    computation: the fixture also empties the record generic_le keeps."""
     cycles._drop_pool()
+    cycles._LAST = (None, None)
     monkeypatch.setattr(cycles, "_pool_size", lambda trials: 0)

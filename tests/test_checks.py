@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import lenumbers.checks as checks
+import lenumbers.cycles as cycles
 from lenumbers.checks import (
     check_dagger,
     check_funbound,
@@ -19,7 +20,7 @@ from lenumbers.groebner import Ideal
 from lenumbers.local import germ_in_hyperplane, local_dim
 from lenumbers.poly import Frame, Polynomial, apply_frame, iomdine, parse
 
-from _corpus import BY_NAME, CORPUS, generic_record
+from _corpus import BY_NAME, CORPUS, SEEDS, generic_record
 from _oracles import germ_subset_by_saturation
 
 BN0 = BY_NAME["bn0"].poly
@@ -82,6 +83,36 @@ def test_checkers_read_only_fully_defined_records(member):
                 assert rep.skipped or rep.context.get("shifted"), (checker, frame, rep)
                 if rep.skipped and checker is not check_mainmany:
                     assert rep.reason == "Le numbers undefined for this frame"
+
+
+def _reports_from_the_kept_record(checker, f, seed, monkeypatch) -> str:
+    """repr of checker(f, seed=seed) right after generic_le(f, seed=seed);
+    the checker must run no frame trial."""
+    cycles.generic_le(f, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(cycles, "_lambda_trials", _no_trials)
+        return repr(checker(f, seed=seed))
+
+
+def _no_trials(f, frames, s):
+    raise AssertionError("a frame trial ran")
+
+
+@pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
+def test_newmpr_reads_the_record_generic_le_kept(member, monkeypatch, serial_trials):
+    f = member.poly
+    for seed in SEEDS:
+        warm = _reports_from_the_kept_record(check_newmpr_and_easybound, f, seed, monkeypatch)
+        cycles._LAST = (None, None)
+        assert warm == repr(check_newmpr_and_easybound(f, seed=seed)), seed
+
+
+@pytest.mark.parametrize("name", ["quad3", "fatcircle", "planes", "q4"])
+def test_dagger_reads_the_record_generic_le_kept(name, monkeypatch, serial_trials):
+    f = BY_NAME[name].poly
+    warm = _reports_from_the_kept_record(check_dagger, f, 0, monkeypatch)
+    cycles._LAST = (None, None)
+    assert warm == repr(check_dagger(f, seed=0))
 
 
 def test_checker_errors_propagate_instead_of_skipping(monkeypatch):

@@ -23,6 +23,7 @@ from _oracles import (
     general_intersection_number,
     germ_subset_by_saturation,
     polar_curve_mult,
+    serial_generic_le,
 )
 
 XY = ("x", "y")
@@ -78,8 +79,88 @@ def test_fully_defined_is_every_lambda_and_gamma_defined(member):
 
 def test_generic_le_is_deterministic():
     a = generic_le(BN0, seed=3)
+    cycles._LAST = (None, None)  # compute the second record from scratch
     b = generic_le(BN0, seed=3)
+    assert b is not a
     assert (a.lam, a.gam, a.frame.matrix) == (b.lam, b.gam, b.frame.matrix)
+
+
+def _frame_runs(monkeypatch) -> list:
+    """The frames of every cycles._lambda_trials call from here on."""
+    runs = []
+    trials = cycles._lambda_trials
+
+    def spy(f, frames, s):
+        runs.append(frames)
+        return trials(f, frames, s)
+
+    monkeypatch.setattr(cycles, "_lambda_trials", spy)
+    return runs
+
+
+def test_a_repeated_request_returns_the_same_record(monkeypatch, serial_trials):
+    runs = _frame_runs(monkeypatch)
+    rec = generic_le(BN0, seed=1)
+    assert runs
+    runs.clear()
+    assert generic_le(BN0, 1) is rec
+    assert generic_le(BN0, 1, 3, 10) is rec
+    assert generic_le(BN0, seed=1, trials=3, bound=10) is rec
+    assert generic_le(f=BN0, bound=10, seed=1) is rec
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        ((BN0, 1), (BN0, 2)),
+        ((BN0, 1), (BN0, 1, 2)),
+        ((BN0, 1), (BN0, 1, 3, 20)),
+        ((X2Y2, 0), (parse("x^2*y^2", XYZ), 0)),
+        ((X2Y2, 0), (parse("u^2*v^2", ("u", "v")), 0)),
+    ],
+    ids=["seed", "trials", "bound", "vars", "names"],
+)
+def test_another_request_computes_anew(first, then, monkeypatch, serial_trials):
+    runs = _frame_runs(monkeypatch)
+    rec = generic_le(*first)
+    runs.clear()
+    other = generic_le(*then)
+    assert runs and other is not rec
+    assert other.h.vars == then[0].vars
+    assert repr(other) == repr(serial_generic_le(*then))
+
+
+def test_a_germ_in_between_replaces_the_record(monkeypatch, serial_trials):
+    runs = _frame_runs(monkeypatch)
+    rec = generic_le(BN0, seed=1)
+    generic_le(UMBRELLA, seed=1)
+    runs.clear()
+    again = generic_le(BN0, seed=1)
+    assert runs and again is not rec
+    assert repr(again) == repr(rec)
+
+
+def test_undefined_keeps_the_record(monkeypatch, serial_trials):
+    rec = generic_le(BN0, seed=1)
+    bad = lambda_numbers(X2Y2)
+    assert not bad.fully_defined
+    monkeypatch.setattr(cycles, "_lambda_trials", lambda f, frames, s: [bad] * len(frames))
+    with pytest.raises(cycles.Undefined):
+        generic_le(X2Y2, seed=1)
+    runs = _frame_runs(monkeypatch)
+    assert generic_le(BN0, seed=1) is rec
+    assert runs == []
+
+
+def test_bad_trials_raise_whatever_the_record_kept(serial_trials):
+    rec = generic_le(BN0, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        generic_le(BN0, seed=1, trials=0)
+    # even a record kept under the very same request is not returned
+    cycles._LAST = ((BN0, 1, 0, 10), rec)
+    with pytest.raises(ValueError, match="trials"):
+        generic_le(BN0, seed=1, trials=0)
 
 
 def test_validation_rejects_non_critical_input():
