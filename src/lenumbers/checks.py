@@ -377,6 +377,28 @@ def _template_vars(template: str, params: dict) -> tuple[str, ...]:
     return tuple(sorted(names - set(params)))
 
 
+def validate_family_entry(entry) -> None:
+    """ValueError unless entry is a family entry: a dict with a str
+    "template", a "params" dict of int lists and optionally a str list
+    "vars"."""
+    ok = (
+        isinstance(entry, dict)
+        and isinstance(entry.get("template"), str)
+        and isinstance(entry.get("params"), dict)
+        and all(
+            isinstance(vs, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in vs)
+            for vs in entry["params"].values()
+        )
+        and isinstance(names := entry.get("vars", []), list)
+        and all(isinstance(v, str) for v in names)
+    )
+    if not ok:
+        raise ValueError(
+            "need {'template': str, 'params': {name: [ints]}, 'vars': [str] (optional)}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Family sweep outcome: every instance report in family order, the
@@ -398,11 +420,15 @@ def search_dagger(
     """Run check_dagger over a parameter family.
 
     Each entry carries a polynomial template, one integer grid per
-    parameter name, and optionally an explicit variable tuple (inferred
+    parameter name, and optionally an explicit variable list (inferred
     from the leftover identifiers otherwise).  Instances the checker
-    cannot decide turn into skip-reports; malformed entries raise.  limit
-    caps the number of instances; on_report sees each (params, report)
-    pair as it is produced."""
+    cannot decide turn into skip-reports; malformed entries raise
+    ValueError (validate_family_entry) before any instance is computed.
+    limit caps the number of instances; on_report sees each (params,
+    report) pair as it is produced."""
+    entries = list(entries)
+    for entry in entries:
+        validate_family_entry(entry)
 
     def instances():
         for entry in entries:

@@ -32,6 +32,7 @@ from .checks import (
     check_suspension,
     check_teissier,
     search_dagger,
+    validate_family_entry,
 )
 from .cycles import (
     Undefined,
@@ -380,24 +381,9 @@ def _read_family(path: str) -> list[dict]:
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as e:
+            validate_family_entry(entry)
+        except ValueError as e:  # json.JSONDecodeError included
             raise _InputError(f"family file line {i}: {e}") from None
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("template"), str)
-            or not isinstance(entry.get("params"), dict)
-            or not all(
-                isinstance(vs, list)
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in vs)
-                for vs in entry["params"].values()
-            )
-            or not isinstance(names := entry.get("vars", []), list)
-            or not all(isinstance(v, str) for v in names)
-        ):
-            raise _InputError(
-                f"family file line {i}: need {{'template': str, 'params': {{name: [ints]}}"
-                ", 'vars': [str] (optional)}"
-            )
         entries.append(entry)
     return entries
 

@@ -16,11 +16,10 @@ groebner._slice_coordinate).  When the final ideal is
 zero-dimensional globally, as it usually is, its colength is counted by
 local.truncated_quotient_dim: a zero-dimensional quotient splits into one
 local algebra per point (Cox, Little, O'Shea, Using Algebraic Geometry,
-ch. 4).  A small one with points besides the origin takes one local
-standard basis, and a large one a saturation by a linear form certified
-to vanish at no other point.  The local standard basis
-(local_quotient_dim) also counts final ideals with positive-dimensional
-components, at the origin or elsewhere.
+ch. 4).  A small one takes one local standard basis, and a large one a
+saturation by a linear form certified to vanish at no other point.  The
+local standard basis (local_quotient_dim) also counts final ideals with
+positive-dimensional components, at the origin or elsewhere.
 
 Each relative polar variety Gamma^j = V(dh/dz_j, ..., dh/dz_n) :
 (dh/dz_0, ..., dh/dz_{j-1})^infinity of h = apply_frame(f, frame) is
@@ -45,6 +44,8 @@ slice h|V(z0), read off Gamma^1 alone.  A LeRecord carries the reframed h
 and the polar ideals Gamma^1..Gamma^{s+1} that its cycle recursion built,
 so gamma^1 and mult Gamma^j are read off the record (LeRecord.gamma1,
 LeRecord.polar_mult) and no polar variety of it is saturated twice.
+mult Gamma^j and the dimension it needs come from one Hilbert series of
+the ideal's Lazard basis (local.hs_multiplicity).
 
 generic_le's frame trials share nothing, so each round runs them at once:
 the caller computes one, and forked worker processes (_Worker), started on
@@ -74,7 +75,6 @@ from typing import Sequence
 from .groebner import Ideal, _slice, _slice_coordinate, saturate
 from .local import (
     hs_multiplicity,
-    lazard_local_dim,
     local_dim,
     local_quotient_dim,
     truncated_quotient_dim,
@@ -169,10 +169,6 @@ def _polar_of(parts: _Partials, j: int, s: int | None = None) -> tuple[Ideal, Id
     return parts.polars[I.gens, J.gens]
 
 
-def polar_ideal(f: Polynomial, frame: Frame, j: int) -> Ideal:
-    return _polar_of(_partials(f, apply_frame(f, frame), frame), j)[0]
-
-
 def _max_ideal(vars: tuple[str, ...]) -> Ideal:
     return Ideal([Polynomial.var_index(i, vars) for i in range(len(vars))], vars=vars)
 
@@ -239,12 +235,13 @@ class LeRecord:
     rewritten in the frame (apply_frame(f, frame)), and polar, the relative
     polar ideals of h that the cycle recursion built, polar[j-1] being
     Gamma^j for j = 1..s+1.  Neither shows in repr or takes part in
-    equality.  Each stored Gamma^j is, as a germ at the origin, the one
-    polar_ideal gives, so gamma1 and polar_mult read it as it is: for j <= s
-    it is saturated just as polar_ideal saturates it, and a principal
+    equality.  Each stored Gamma^j is, as a germ at the origin, the
+    partials j..n of h saturated by those below j, so gamma1 and polar_mult
+    read it as it is: for j <= s it is that saturation, and a principal
     Gamma^j with j > s is kept unsaturated, the same germ at 0 (_polar_of).
-    Only lambda_numbers builds records; the frame carries the seed it was
-    drawn from."""
+    polar_mult reads the dimension and the multiplicity of Gamma^j off one
+    Hilbert series (local.hs_multiplicity).  Only lambda_numbers builds
+    records; the frame carries the seed it was drawn from."""
 
     s: int
     lam: tuple
@@ -278,7 +275,7 @@ class LeRecord:
         """mult Gamma^j at the origin for 1 <= j <= s+1, read off the stored
         ideal; 0 when Gamma^j misses the origin, None (undefined) when it is
         not j-dimensional there."""
-        return _cycle_mult(self.polar[j - 1], j)
+        return hs_multiplicity(self.polar[j - 1], j)
 
 
 def why_not_singular(f: Polynomial) -> str | None:
@@ -604,18 +601,6 @@ def generic_le(
     )
 
 
-def _cycle_mult(P: Ideal, j: int) -> int | None:
-    """Multiplicity at the origin of the j-dimensional cycle of P; 0 when it
-    misses the origin, None when it has another dimension there.  The
-    dimension comes from the Lazard basis hs_multiplicity reads next."""
-    ld = lazard_local_dim(P)
-    if ld == -1:
-        return 0
-    if ld != j:
-        return None
-    return hs_multiplicity(P)
-
-
 def slice_lam0(h: Polynomial) -> int | None:
     """lambda^0 of h0 = h restricted to the hyperplane V(z0), in the
     identity frame of the slice: Gamma^1 . V(dh0/dz0), Gamma^1 saturated
@@ -624,7 +609,9 @@ def slice_lam0(h: Polynomial) -> int | None:
     h0 = h.set_var_zero(0)
     if why_not_singular(h0) is not None:
         return None
-    parts = _partials(h0, h0, Frame.identity(len(h0.vars)))
+    # in the identity frame both coordinates are h0's own
+    dh0 = tuple(h0.partial(i) for i in range(len(h0.vars)))
+    parts = _Partials(Frame.identity(len(h0.vars)), dh0, dh0)
     return intersection_number(_polar_of(parts, 1)[0], parts.framed[0])
 
 
@@ -650,6 +637,8 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
 
 
 def polar_mult(f: Polynomial, frame: Frame, j: int) -> int | None:
-    """Multiplicity at the origin of the polar cycle Gamma^j; 0 when it
-    misses the origin, None when it is not j-dimensional there."""
-    return _cycle_mult(polar_ideal(f, frame, j), j)
+    """Multiplicity at the origin of the polar cycle Gamma^j of
+    apply_frame(f, frame); 0 when it misses the origin, None when it is not
+    j-dimensional there."""
+    parts = _partials(f, apply_frame(f, frame), frame)
+    return hs_multiplicity(_polar_of(parts, j)[0], j)

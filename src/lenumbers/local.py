@@ -18,18 +18,17 @@ those sets over i, so the origin is on a curve exactly when it lies on
 some V(I : x_i^infinity).  germ_in_hyperplane asks the same of one
 coordinate: V(I) lies in V(x_i) near 0 exactly when the origin is off
 V(I : x_i^infinity), a saturation with no auxiliary variable
-(groebner._saturate_coordinate).  Dimensions that go on to a multiplicity
-(hs_multiplicity) are read off the Lazard basis that count needs anyway
-(lazard_local_dim).
+(groebner._saturate_coordinate), and no basis of I itself.
+hs_multiplicity reads the dimension and the multiplicity of a germ off
+one Hilbert series of its Lazard basis.
 
 Colengths have two production routes.  local_quotient_dim counts with the
 Lazard standard basis and works for any ideal.  truncated_quotient_dim is
 tried first for the last step of cycles.intersection_number and returns
 None unless the ideal is zero-dimensional globally.  Let N be its total
-colength.  Up to a small N, N is the answer when the origin is V(I)'s only
-point, and one Lazard basis counts otherwise.  Above it the count uses
-grevlex bases only: a linear form g is chosen that vanishes at no other
-point of V(I), certified by x_i^N2 lying in I + (g) for every i, where
+colength.  Up to a small N, one Lazard basis counts.  Above it the count
+uses grevlex bases only: a linear form g is chosen that vanishes at no
+other point of V(I), certified by x_i^N2 lying in I + (g) for every i, where
 N2 = colength(I + (g)), whose basis completes I's (groebner._slice); the
 answer is then N - colength(I : g^infinity), one saturation.  That is
 exact because a zero-dimensional quotient is the product of its local
@@ -164,9 +163,7 @@ def _colength(basis: Basis) -> int | None:
 
 
 def lazard_local_dim(I: Ideal) -> int:
-    """local_dim read off the Lazard standard basis of I, for any I.  The
-    multiplicity callers use it directly: hs_multiplicity reads the same
-    basis next."""
+    """local_dim read off the Lazard standard basis of I, for any I."""
     hilb = _hilbert(local_standard_basis(I))
     return -1 if hilb is None else len(I.vars) - hilb[0]
 
@@ -181,12 +178,12 @@ def germ_in_hyperplane(I: Ideal, i: int) -> bool:
     """Whether V(I) lies in the hyperplane V(x_i) as germs at the origin.
 
     That holds exactly when the origin is off V(I : x_i^infinity), the
-    closure of V(I) minus V(x_i); x_i in I makes that saturation the unit
-    ideal without computing it.  The saturation needs no auxiliary variable
-    (groebner._saturate_coordinate), and origin_on reads only the constant
-    terms of the generators, so any generating set of it serves."""
-    x = Polynomial.var_index(i, I.vars)
-    return I.contains(x) or not origin_on(_saturate_coordinate(I, i))
+    closure of V(I) minus V(x_i).  The saturation needs no auxiliary
+    variable and no basis of I (groebner._saturate_coordinate), and
+    origin_on reads only the constant terms of the generators, so any
+    generating set of it serves.  x_i in I needs no test of its own: the
+    saturation is then the unit ideal."""
+    return not origin_on(_saturate_coordinate(I, i))
 
 
 def local_dim(I: Ideal) -> int:
@@ -222,9 +219,8 @@ def local_quotient_dim(I: Ideal) -> int | None:
     return _colength(local_standard_basis(I))
 
 
-# The origin-only test x_i^N in I reduces powers of degree N, at a cost
-# that grows with N; up to this colength the test and, when it fails, one
-# Lazard basis are cheaper than the ladder, and above it the ladder is.
+# Up to this total colength one Lazard basis counts the origin's share, and
+# above it the ladder of grevlex bases (_ladder_quotient_dim) does.
 _SHORTCUT_MAX = 16
 
 
@@ -244,20 +240,13 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     """local_quotient_dim for a globally zero-dimensional I; None when I is
     not zero-dimensional.
 
-    k[x]/I of dimension N is the product of its local algebras A_p, one per
-    point p of V(I) (Cox, Little, O'Shea, Using Algebraic Geometry, ch. 4).
-    x_i is nilpotent on A_p, of index at most dim A_p, exactly when
-    x_i(p) = 0.  So for N up to _SHORTCUT_MAX, x_i^N in I for every i
-    means the origin is the only point and the answer is N; when the test
-    fails, local_quotient_dim(I) counts.  Larger N take _ladder_quotient_dim."""
-    basis = I.groebner(GREVLEX)
-    N = _colength(basis)
+    N, the total colength of I, is read off its grevlex basis.  For N up to
+    _SHORTCUT_MAX local_quotient_dim(I) counts; larger N take
+    _ladder_quotient_dim."""
+    N = _colength(I.groebner(GREVLEX))
     if N is None or N == 0:
         return N
-    if N > _SHORTCUT_MAX:
-        return _ladder_quotient_dim(I)
-    xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
-    return N if all(basis.contains(x**N) for x in xs) else local_quotient_dim(I)
+    return local_quotient_dim(I) if N <= _SHORTCUT_MAX else _ladder_quotient_dim(I)
 
 
 def _ladder_quotient_dim(I: Ideal) -> int:
@@ -280,9 +269,13 @@ def _ladder_quotient_dim(I: Ideal) -> int:
             return N - _colength(_saturate_principal(I, g).groebner(GREVLEX))
 
 
-def hs_multiplicity(I: Ideal) -> int:
-    """Hilbert-Samuel multiplicity of the local ring at the origin."""
+def hs_multiplicity(I: Ideal, j: int) -> int | None:
+    """Hilbert-Samuel multiplicity at the origin of the j-dimensional germ
+    of I; 0 when the origin is off V(I), None when the germ there is not
+    j-dimensional.  Dimension and multiplicity are read off one Hilbert
+    series of the Lazard basis."""
     hilb = _hilbert(local_standard_basis(I))
     if hilb is None:
-        raise ValueError("origin does not lie on the variety")
-    return sum(hilb[1])
+        return 0
+    c, q = hilb
+    return sum(q) if len(I.vars) - c == j else None

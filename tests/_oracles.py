@@ -461,7 +461,7 @@ def polar_curve_mult(f: Polynomial, frame: Frame) -> int:
         return 0
     if ld != 1:
         raise ValueError(f"polar ideal is {ld}-dimensional, expected a curve")
-    return hs_multiplicity(P)
+    return hs_multiplicity(P, 1)
 
 
 # -- intersection numbers -----------------------------------------------------

@@ -535,6 +535,24 @@ def test_search_dagger_limit():
     assert len(res.reports) == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"params": {"a": [2]}},
+        {"template": "x^a + y^3", "params": {"a": 2}},
+        {"template": 5, "params": {"a": [2]}},
+        {"template": "x^a + y^3", "params": {"a": [2]}, "vars": "xy"},
+    ],
+    ids=["no-template", "grid-not-a-list", "template-not-a-string", "vars-a-string"],
+)
+def test_search_dagger_validates_every_entry_first(bad):
+    seen = []
+    good = {"template": "x^a + y^3", "params": {"a": [2]}}
+    with pytest.raises(ValueError, match=r"^need \{'template': str"):
+        search_dagger([good, bad], on_report=lambda p, r: seen.append(p))
+    assert seen == []
+
+
 def test_search_dagger_malformed_template():
     with pytest.raises(ValueError, match="family"):
         search_dagger([{"template": "x^2 + @", "params": {"a": [1]}}])

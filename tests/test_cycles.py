@@ -1,12 +1,12 @@
 import pytest
 
 import lenumbers.cycles as cycles
+import lenumbers.local as local
 from lenumbers.checks import check_leiom, check_newmpr_and_easybound
 from lenumbers.cycles import (
     generic_le,
     intersection_number,
     lambda_numbers,
-    polar_ideal,
     polar_mult,
     sigma_ideal,
     slice_check,
@@ -35,6 +35,12 @@ TX = parse("y^3-x^4-t^2*x^2", TXY)
 UMBRELLA = parse("x^2-y^2*z", XYZ)
 X2Y2 = parse("x^2*y^2", XY)
 SURFACE = parse("z^2+(w^4+x^3+y^2)^2", ("w", "x", "y", "z"))
+
+
+def _polar(f, frame, j):
+    """Gamma^j of apply_frame(f, frame), saturated as the library saturates
+    it: in whichever coordinates give the fewer terms."""
+    return cycles._polar_of(cycles._partials(f, apply_frame(f, frame), frame), j)[0]
 
 
 def test_bn0_identity_frame():
@@ -178,7 +184,7 @@ def test_sigma_ideal_dimension_drives_s():
 
 
 def test_polar_curve_of_bn0():
-    P = polar_ideal(BN0, Frame.identity(3), 1)
+    P = framed_polar_ideal(BN0, Frame.identity(3), 1)
     assert sorted(str(p) for p in P.groebner().elements) == ["x + 3*z", "y"]
     assert polar_curve_mult(BN0, Frame.identity(3)) == 1
     assert polar_curve_mult(TX, Frame.identity(3)) == 4
@@ -198,7 +204,7 @@ def test_intersection_number_ignores_points_away_from_origin():
 
 
 def test_intersection_number_improper_is_none():
-    P = polar_ideal(BN0, Frame.identity(3), 1)
+    P = framed_polar_ideal(BN0, Frame.identity(3), 1)
     # y vanishes on the polar curve, so the intersection is improper
     for form, want in ((parse("y", XYZ), None), (parse("x", XYZ), 1)):
         assert general_intersection_number(P, [form]) == want
@@ -225,7 +231,7 @@ def test_intersection_number_saturated_curve_missing_the_origin_is_zero():
 
 
 def test_intersection_number_of_a_zero_or_unit_form():
-    P = polar_ideal(BN0, Frame.identity(3), 1)
+    P = framed_polar_ideal(BN0, Frame.identity(3), 1)
     assert intersection_number(P, Polynomial.zero(XYZ)) is None
     assert intersection_number(P, parse("1+x", XYZ)) == 0
 
@@ -274,6 +280,37 @@ def test_germ_in_hyperplane_with_components_away_from_the_origin():
             assert got is want[i] == germ_subset_by_saturation(A, x_i), (A, i)
 
 
+def test_germ_in_hyperplane_builds_no_basis_of_its_ideal():
+    # x_i in the ideal, in it only near the origin, and not at all, in two
+    # and three variables; the verdicts against the saturation oracle
+    cases = [Ideal([parse(t, XY) for t in ts], vars=XY) for ts in (
+        ("x",), ("x", "y^3"), ("x*y", "x^2"), ("x+x^2",), ("x*(y-1)",), ("y^2-x^3",),
+    )]
+    cases += [sigma_ideal(BN0), sigma_ideal(TX), Ideal([parse("y", XYZ)], vars=XYZ)]
+    for A in cases:
+        for i in range(len(A.vars)):
+            x_i = Ideal([Polynomial.var_index(i, A.vars)], vars=A.vars)
+            fresh = Ideal(A.gens, vars=A.vars)
+            assert germ_in_hyperplane(fresh, i) is germ_subset_by_saturation(A, x_i), (A, i)
+            assert fresh._cache == {}, (A, i)
+
+
+def test_polar_mult_reads_one_hilbert_series(monkeypatch):
+    rec = lambda_numbers(TX, Frame.identity(3))
+    calls = []
+    hilbert = local._hilbert
+
+    def counting(basis):
+        calls.append(basis)
+        return hilbert(basis)
+
+    monkeypatch.setattr(local, "_hilbert", counting)
+    for j, want in ((1, 4), (2, 2)):
+        calls.clear()
+        assert rec.polar_mult(j) == want
+        assert len(calls) == 1, j
+
+
 def test_sigma_ideal_gens_are_the_partials():
     S = sigma_ideal(parse("x^2+y^3", XY))
     assert sorted(str(g) for g in S.gens) == ["2*x", "3*y^2"]
@@ -291,13 +328,13 @@ def test_le_record_carries_its_germ_and_polar_varieties(member):
             # None on both routes when Gamma^j is not j-dimensional
             assert rec.polar_mult(j) == polar_mult(f, frame, j), (frame, j)
         z0 = Polynomial.var_index(0, f.vars)
-        assert rec.gamma1() == intersection_number(polar_ideal(f, frame, 1), z0)
+        assert rec.gamma1() == intersection_number(_polar(f, frame, 1), z0)
 
 
 @pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
 def test_gamma1_counts_in_the_source_coordinates_match_the_frame(member):
     # Gamma^1 saturated in f's own coordinates, where z0 is the form of frame
-    # row 0 and dh/dz0 is source[0], against polar_ideal in the frame, sliced
+    # row 0 and dh/dz0 is source[0], against Gamma^1 in the frame, sliced
     # from its generators: gamma^1 = Gamma^1 . V(z0) and the j = 0 total
     # Gamma^1 . V(dh/dz0)
     f = member.poly
@@ -311,7 +348,7 @@ def test_gamma1_counts_in_the_source_coordinates_match_the_frame(member):
             (Polynomial.var_index(k, vars) * c for k, c in enumerate(frame.matrix[0])),
             Polynomial.zero(vars),
         )
-        P = Ideal(polar_ideal(f, frame, 1).gens, vars=vars)
+        P = Ideal(_polar(f, frame, 1).gens, vars=vars)
         assert intersection_number(src, row0) == intersection_number(P, z0), frame
         dz0 = parts.framed[0]
         assert intersection_number(src, parts.source[0]) == intersection_number(P, dz0), frame
@@ -351,7 +388,7 @@ def test_the_cycle_walk_saturates_each_curve_once(f, monkeypatch, serial_trials)
 def test_the_cycle_walk_matches_the_general_route(member):
     # gamma^{j+1} = Gamma^{j+1} . V(z_0, ..., z_j) and lambda^j + gamma^j =
     # Gamma^{j+1} . V(z_0, ..., z_{j-1}, dh/dz_j), each counted by the
-    # oracle on polar_ideal
+    # oracle on Gamma^{j+1}
     f = member.poly
     n1 = len(f.vars)
     z = [Polynomial.var_index(i, f.vars) for i in range(n1)]
@@ -360,7 +397,7 @@ def test_the_cycle_walk_matches_the_general_route(member):
         h = apply_frame(f, frame)
         gam = [0]
         for j in range(rec.s + 1):
-            P = polar_ideal(f, frame, j + 1)
+            P = _polar(f, frame, j + 1)
             if j < rec.s:
                 gam.append(general_intersection_number(P, z[: j + 1]))
             total = general_intersection_number(P, z[:j] + [h.partial(j)])
@@ -397,9 +434,9 @@ def test_newmpr_saturates_no_polar_variety(monkeypatch, serial_trials):
 
 def test_checkers_read_the_polar_varieties_off_the_record(monkeypatch, serial_trials):
     def refuse(*args):
-        raise AssertionError("polar ideal rebuilt")
+        raise AssertionError("polar variety rebuilt")
 
-    monkeypatch.setattr(cycles, "polar_ideal", refuse)
+    monkeypatch.setattr(cycles, "polar_mult", refuse)
     reports = check_newmpr_and_easybound(BN0, frame=Frame.identity(3))
     assert {"easybound", "lambda-gamma-1"} <= {r.name for r in reports}
     reports = check_leiom(BN0, m=2, seed=0)
@@ -430,7 +467,7 @@ def test_le_iomdine_transform_of_the_surface():
 
 def _same_polar_ideals(f, frame):
     for j in range(1, len(f.vars) + 1):
-        got = polar_ideal(f, frame, j)
+        got = _polar(f, frame, j)
         want = framed_polar_ideal(f, frame, j)
         assert set(got.groebner().elements) == set(want.groebner().elements), j
 
@@ -458,7 +495,7 @@ def _saturated_by_polar_of(monkeypatch, f, frame):
 
     monkeypatch.setattr(cycles, "saturate", recording)
     for j in range(1, len(f.vars)):
-        polar_ideal(f, frame, j)
+        _polar(f, frame, j)
     monkeypatch.undo()
     return calls
 

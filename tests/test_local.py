@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lenumbers.cycles as cycles
 import lenumbers.local as local
 from lenumbers.cycles import lambda_numbers, sigma_ideal
-from lenumbers.groebner import Ideal, _to_int
+from lenumbers.groebner import Basis, Ideal, _to_int
 from lenumbers.local import (
     _ladder_quotient_dim,
     _minimalize,
@@ -169,11 +169,20 @@ def test_quotient_dim_ignores_components_away_from_origin():
 def test_milnor_algebra_of_a_cusp():
     J = I("2*x", "3*y^2")
     assert local_quotient_dim(J) == 2
-    assert hs_multiplicity(I("y^2-x^3")) == 2
+    assert hs_multiplicity(I("y^2-x^3"), 1) == 2
 
 
 def test_hs_multiplicity_of_smooth_curve_is_one():
-    assert hs_multiplicity(I("y-x^2")) == 1
+    assert hs_multiplicity(I("y-x^2"), 1) == 1
+
+
+def test_hs_multiplicity_reads_the_dimension_off_the_same_series():
+    # off the origin, then a curve asked for as a point and as a surface
+    assert hs_multiplicity(I("y-1"), 1) == 0
+    assert hs_multiplicity(I("y^2-x^3"), 0) is None
+    assert hs_multiplicity(I("y^2-x^3", vars=XYZ), 1) is None
+    assert hs_multiplicity(I("y^2-x^3", vars=XYZ), 2) == 2
+    assert hs_multiplicity(I("x^2", "y^3"), 0) == 6
 
 
 def test_local_membership_divides_by_units():
@@ -422,6 +431,25 @@ def test_small_ideal_with_another_point_takes_one_lazard_basis(monkeypatch):
     assert truncated_quotient_dim(K) == 4
     assert saturations == []
     assert lazard == [K]
+
+
+def test_small_origin_only_ideal_takes_one_lazard_basis_and_no_power_test(monkeypatch):
+    saturations = _count_saturations(monkeypatch)
+    lazard = _count_lazard(monkeypatch)
+    reduced = []
+    contains = Basis.contains
+
+    def recording(basis, p):
+        reduced.append(p)
+        return contains(basis, p)
+
+    monkeypatch.setattr(Basis, "contains", recording)
+    # N = 4, and N = 16 = _SHORTCUT_MAX
+    for K, N in ((I("x^2", "x*y", "y^3"), 4), (I("x^4", "y^4"), 16)):
+        lazard.clear()
+        assert truncated_quotient_dim(K) == N <= local._SHORTCUT_MAX
+        assert lazard == [K]
+    assert reduced == [] and saturations == []
 
 
 def _corpus_final_ideals(monkeypatch) -> dict:
