@@ -423,7 +423,9 @@ def search_dagger(
     parameter name, and optionally an explicit variable list (inferred
     from the leftover identifiers otherwise).  Instances the checker
     cannot decide turn into skip-reports; malformed entries raise
-    ValueError (validate_family_entry) before any instance is computed.
+    ValueError (validate_family_entry) before any instance is computed,
+    and so do a template without variables and an instance that does not
+    parse: every instance within limit is built and parsed first.
     limit caps the number of instances; on_report sees each (params,
     report) pair as it is produced."""
     entries = list(entries)
@@ -439,14 +441,15 @@ def search_dagger(
                 raise ValueError(f"family template {template!r} has no variables")
             for combo in itertools.product(*grids.values()):
                 params = dict(zip(grids, combo))
-                yield params, _substitute(template, params), vars_
+                text = _substitute(template, params)
+                try:
+                    fp = parse(text, vars_)
+                except ParseError as e:
+                    raise ValueError(f"family instance {text!r}: {e}") from e
+                yield params, text, fp
 
     reports = []
-    for params, text, vars_ in itertools.islice(instances(), limit):
-        try:
-            fp = parse(text, vars_)
-        except ParseError as e:
-            raise ValueError(f"family instance {text!r}: {e}") from e
+    for params, text, fp in list(itertools.islice(instances(), limit)):
         if why_not_singular(fp) is not None:
             rep = _skip("dagger", "not singular at the origin", instance=text)
         else:

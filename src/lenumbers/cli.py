@@ -36,12 +36,12 @@ from .checks import (
 )
 from .cycles import (
     Undefined,
-    _validate_singular,
     generic_le,
     lambda_numbers,
     polar_mult,
     sigma_ideal,
     slice_check,
+    why_not_singular,
 )
 from .local import local_dim
 from .milnor import milnor, sectional
@@ -135,6 +135,12 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise _InputError("LENUMBERS_SEED must be an integer") from None
     return 0
+
+
+def _require_singular(f) -> None:
+    why = why_not_singular(f)
+    if why is not None:
+        raise _InputError(why)
 
 
 def _parse_vars(text: str) -> tuple[str, ...]:
@@ -285,7 +291,7 @@ def _cmd_compute(args) -> int:
     values = {}
 
     if args.target == "le":
-        _validate_singular(f)
+        _require_singular(f)
         values["mult"] = f.mult_origin()
         if args.frame == "random":
             rec = generic_le(f, seed=seed, trials=trials, bound=args.bound)
@@ -332,7 +338,7 @@ def _cmd_compute(args) -> int:
         if not args.json_out:
             print(f"mult = {values['mult']}")
     else:  # polar
-        _validate_singular(f)
+        _require_singular(f)
         frame = _concrete_frame(args.frame, n1, seed, args.bound)
         s = local_dim(sigma_ideal(f))
         vals = [polar_mult(f, frame, j) for j in range(1, max(s, 0) + 2)]
@@ -352,7 +358,7 @@ def _cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else 3
     vars_ = _parse_vars(args.vars)
     f = parse(args.poly, vars_)
-    _validate_singular(f)
+    _require_singular(f)
     n1 = len(vars_)
     frame = None
     if args.frame != "random":

@@ -36,7 +36,9 @@ once and gives C_j . V(dh/dz_j) = lambda^j + gamma^j and C_j . V(z_j) =
 gamma^{j+1}.  C_0 = Gamma^1 is counted where it was saturated, on that
 saturation and its basis: in f's coordinates z0 is the linear form of
 frame row 0 and dh/dz0 is L_0, and apply_frame fixes the origin, so the
-local numbers are the same.
+local numbers are the same.  polar_mult(f, frame, j) counts Gamma^j on
+the same argument: it saturates and counts the pull-back to f's
+coordinates and never reframes f.
 
 Each decision about the input is made in one place: why_not_singular says
 whether f is singular at the origin, and slice_lam0 gives lambda^0 of the
@@ -57,9 +59,10 @@ that transform, and uses the record only if the checks pass.  Both go
 through one protocol (_beside, _answer): a task no worker answers is
 computed in the caller.
 
-generic_le keeps the last record it returned, and only that one: the
-checkers that run on one germ after it ask for the same record, and an
-immediately repeated request gets the same read-only object back.
+generic_le keeps the last record it returned, and only that one, in a
+functools.lru_cache(maxsize=1) on _generic_le: the checkers that run on one
+germ after it ask for the same record, and an immediately repeated request,
+positional or keyword, gets the same read-only object back.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .groebner import Ideal, _slice, _slice_coordinate, saturate
@@ -107,20 +111,27 @@ class _Partials:
     polars: dict = field(default_factory=dict, compare=False)
 
 
+def _source_partials(f: Polynomial, frame: Frame) -> tuple[Polynomial, ...]:
+    """L_i = sum_k B[k][i] * df/dx_k with B = frame.inverse: dh/dz_i of
+    h = apply_frame(f, frame), written in f's own coordinates."""
+    n1, inv = len(f.vars), frame.inverse
+    df = [f.partial(k) for k in range(n1)]
+    return tuple(
+        sum((df[k] * inv[k][i] for k in range(n1) if inv[k][i]), Polynomial.zero(f.vars))
+        for i in range(n1)
+    )
+
+
 def _partials(f: Polynomial, h: Polynomial, frame: Frame) -> _Partials:
     """The partials of h = apply_frame(f, frame) in both coordinates."""
-    n1 = len(f.vars)
-    inv = frame.inverse
-    df = [f.partial(k) for k in range(n1)]
-    source = []
-    for i in range(n1):
-        acc = Polynomial.zero(f.vars)
-        for k in range(n1):
-            if inv[k][i]:
-                acc = acc + df[k] * inv[k][i]
-        source.append(acc)
-    framed = tuple(h.partial(i) for i in range(n1))
-    return _Partials(frame, framed, tuple(source))
+    framed = tuple(h.partial(i) for i in range(len(f.vars)))
+    return _Partials(frame, framed, _source_partials(f, frame))
+
+
+def _own_partials(ps: tuple[Polynomial, ...]) -> _Partials:
+    """ps as the partials of a germ in its own coordinates: the identity
+    frame, where both sets of partials are ps."""
+    return _Partials(Frame.identity(len(ps)), ps, ps)
 
 
 def _terms(ps: Sequence[Polynomial]) -> int:
@@ -551,10 +562,6 @@ class Undefined(RuntimeError):
     generic_le found no frame with defined Le numbers."""
 
 
-# generic_le's last request (f, seed, trials, bound) and the record it returned
-_LAST: tuple = (None, None)
-
-
 def generic_le(
     f: Polynomial, seed: int = 0, trials: int = 3, bound: int = 10
 ) -> LeRecord:
@@ -568,18 +575,21 @@ def generic_le(
     and compared in trial order, so ties keep the earliest frame and the
     record is the one a serial loop returns, h and polar included.
 
-    Exactly one record is kept: a request equal to the one just answered,
-    f (variables included), seed, trials and bound alike, returns that same
-    record object, read-only, and computes nothing.  Any other returned
-    record replaces it; Undefined leaves it as it was."""
-    global _LAST
+    Exactly one record is kept, by functools.lru_cache(maxsize=1) on
+    _generic_le, which takes the arguments positionally whichever way they
+    were given: a request equal to the one just answered, f (variables
+    included), seed, trials and bound alike, returns that same record
+    object, read-only, and computes nothing.  Any other returned record
+    replaces it; Undefined is not cached and leaves it as it was.  The
+    arguments are validated before the cache is asked."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _validate_singular(f)
-    key = (f, seed, trials, bound)
-    last_key, last = _LAST
-    if last_key == key:
-        return last
+    return _generic_le(f, seed, trials, bound)
+
+
+@lru_cache(maxsize=1)
+def _generic_le(f: Polynomial, seed: int, trials: int, bound: int) -> LeRecord:
     n1 = len(f.vars)
     s = local_dim(sigma_ideal(f))
     best = None
@@ -593,7 +603,6 @@ def generic_le(
             if rec.fully_defined and (best is None or rec.lex_key() < best.lex_key()):
                 best = rec
         if best is not None:
-            _LAST = (key, best)
             return best
         b *= 2
     raise Undefined(
@@ -603,15 +612,14 @@ def generic_le(
 
 def slice_lam0(h: Polynomial) -> int | None:
     """lambda^0 of h0 = h restricted to the hyperplane V(z0), in the
-    identity frame of the slice: Gamma^1 . V(dh0/dz0), Gamma^1 saturated
-    (the germ at 0 lambda_numbers(h0) counts).  None unless h0 is
+    identity frame of the slice (_own_partials, as polar_mult):
+    Gamma^1 . V(dh0/dz0), Gamma^1 saturated (the germ at 0
+    lambda_numbers(h0) counts).  None unless h0 is
     singular at the origin, and when the intersection is undefined."""
     h0 = h.set_var_zero(0)
     if why_not_singular(h0) is not None:
         return None
-    # in the identity frame both coordinates are h0's own
-    dh0 = tuple(h0.partial(i) for i in range(len(h0.vars)))
-    parts = _Partials(Frame.identity(len(h0.vars)), dh0, dh0)
+    parts = _own_partials(tuple(h0.partial(i) for i in range(len(h0.vars))))
     return intersection_number(_polar_of(parts, 1)[0], parts.framed[0])
 
 
@@ -639,6 +647,10 @@ def slice_check(f: Polynomial, frame: Frame, rec: LeRecord) -> bool | None:
 def polar_mult(f: Polynomial, frame: Frame, j: int) -> int | None:
     """Multiplicity at the origin of the polar cycle Gamma^j of
     apply_frame(f, frame); 0 when it misses the origin, None when it is not
-    j-dimensional there."""
-    parts = _partials(f, apply_frame(f, frame), frame)
-    return hs_multiplicity(_polar_of(parts, j)[0], j)
+    j-dimensional there.
+
+    Gamma^j is saturated and counted where it is pulled back to f's own
+    coordinates, from the source partials L_i (_source_partials): the
+    frame is a linear automorphism fixing the origin, so the dimension and
+    the Hilbert-Samuel multiplicity at 0 are the same on both sides."""
+    return hs_multiplicity(_polar_of(_own_partials(_source_partials(f, frame)), j)[0], j)

@@ -246,19 +246,19 @@ def truncated_quotient_dim(I: Ideal) -> int | None:
     N = _colength(I.groebner(GREVLEX))
     if N is None or N == 0:
         return N
-    return local_quotient_dim(I) if N <= _SHORTCUT_MAX else _ladder_quotient_dim(I)
+    return local_quotient_dim(I) if N <= _SHORTCUT_MAX else _ladder_quotient_dim(I, N)
 
 
-def _ladder_quotient_dim(I: Ideal) -> int:
-    """local_quotient_dim of a globally zero-dimensional I of colength N,
-    from grevlex bases: walk the linear forms g of _ladder, with
+def _ladder_quotient_dim(I: Ideal, N: int) -> int:
+    """local_quotient_dim of a globally zero-dimensional I of total
+    colength N (read off its grevlex basis by the caller), from grevlex
+    bases: walk the linear forms g of _ladder, with
     N2 = colength(I + (g)).  N2 = 0 means g vanishes at no point of V(I),
     so the origin is not one and the answer is 0.  Else x_i^N2 in I + (g)
     for every i certifies that the origin is the only zero of g on V(I);
     a form that fails the certificate is replaced by the next.  Saturating
     by a certified g removes exactly the factor A_0 of k[x]/I, so the
     answer is N - colength(I : g^infinity)."""
-    N = _colength(I.groebner(GREVLEX))
     xs = [Polynomial.var_index(i, I.vars) for i in range(len(I.vars))]
     for g in _ladder(I.vars):
         Kg = _slice(I, g).groebner(GREVLEX)

@@ -22,7 +22,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def empty_le_slot():
     """Start every test with no record kept by generic_le, so that no test
     gets a record that an earlier test computed."""
-    cycles._LAST = (None, None)
+    cycles._generic_le.cache_clear()
 
 
 @pytest.fixture
@@ -38,5 +38,5 @@ def serial_trials(monkeypatch):
     or check_leiom takes this fixture, so that the patched code runs every
     computation: the fixture also empties the record generic_le keeps."""
     cycles._drop_pool()
-    cycles._LAST = (None, None)
+    cycles._generic_le.cache_clear()
     monkeypatch.setattr(cycles, "_pool_size", lambda trials: 0)

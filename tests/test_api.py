@@ -51,6 +51,19 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def test_cli_imports_only_public_names():
+    # the command line is a client of the package, like any other caller
+    tree = ast.parse((Path(lenumbers.__file__).parent / "cli.py").read_text())
+    private = sorted(
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    )
+    assert private == []
+
+
 def test_unchecked_polynomials_are_built_only_by_poly_and_groebner():
     # poly._trusted skips Polynomial.__init__'s checks; only partial,
     # set_var_zero, unpickling and the Groebner kernel vouch for their terms

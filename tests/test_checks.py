@@ -103,7 +103,7 @@ def test_newmpr_reads_the_record_generic_le_kept(member, monkeypatch, serial_tri
     f = member.poly
     for seed in SEEDS:
         warm = _reports_from_the_kept_record(check_newmpr_and_easybound, f, seed, monkeypatch)
-        cycles._LAST = (None, None)
+        cycles._generic_le.cache_clear()
         assert warm == repr(check_newmpr_and_easybound(f, seed=seed)), seed
 
 
@@ -111,7 +111,7 @@ def test_newmpr_reads_the_record_generic_le_kept(member, monkeypatch, serial_tri
 def test_dagger_reads_the_record_generic_le_kept(name, monkeypatch, serial_trials):
     f = BY_NAME[name].poly
     warm = _reports_from_the_kept_record(check_dagger, f, 0, monkeypatch)
-    cycles._LAST = (None, None)
+    cycles._generic_le.cache_clear()
     assert warm == repr(check_dagger(f, seed=0))
 
 
@@ -558,3 +558,19 @@ def test_search_dagger_malformed_template():
         search_dagger([{"template": "x^2 + @", "params": {"a": [1]}}])
     with pytest.raises(ValueError, match="no variables"):
         search_dagger([{"template": "a", "params": {"a": [2]}}])
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"template": "a", "params": {"a": [2]}}, "no variables"),
+        ({"template": "x^2 + @ + a", "params": {"a": [1]}}, "family instance"),
+    ],
+    ids=["no-variables", "does-not-parse"],
+)
+def test_search_dagger_builds_every_instance_first(bad, match):
+    seen = []
+    good = {"template": "x^a + y^3", "params": {"a": [2, 3]}}
+    with pytest.raises(ValueError, match=match):
+        search_dagger([good, bad], on_report=lambda p, r: seen.append(p))
+    assert seen == []

@@ -348,6 +348,21 @@ def test_search_rejects_malformed_vars_and_params(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"template": "a", "params": {"a": [2]}}, {"template": "x^2 + @ + a", "params": {"a": [1]}}],
+    ids=["no-variables", "does-not-parse"],
+)
+def test_search_rejects_a_later_malformed_entry_before_any_instance(tmp_path, capsys, bad):
+    good = {"template": "x^a + y^3", "params": {"a": [2, 3]}}
+    fam = family_file(tmp_path, json.dumps(good), json.dumps(bad))
+    code, out, err = run(capsys, "search", "dagger", "--family", fam)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_search_limit_via_trials(tmp_path, capsys):
     fam = family_file(
         tmp_path, json.dumps({"template": "x^a + y^3", "params": {"a": [2, 3, 4, 5]}})

@@ -85,7 +85,7 @@ def test_fully_defined_is_every_lambda_and_gamma_defined(member):
 
 def test_generic_le_is_deterministic():
     a = generic_le(BN0, seed=3)
-    cycles._LAST = (None, None)  # compute the second record from scratch
+    cycles._generic_le.cache_clear()  # compute the second record from scratch
     b = generic_le(BN0, seed=3)
     assert b is not a
     assert (a.lam, a.gam, a.frame.matrix) == (b.lam, b.gam, b.frame.matrix)
@@ -163,10 +163,7 @@ def test_bad_trials_raise_whatever_the_record_kept(serial_trials):
     rec = generic_le(BN0, seed=1)
     with pytest.raises(ValueError, match="trials"):
         generic_le(BN0, seed=1, trials=0)
-    # even a record kept under the very same request is not returned
-    cycles._LAST = ((BN0, 1, 0, 10), rec)
-    with pytest.raises(ValueError, match="trials"):
-        generic_le(BN0, seed=1, trials=0)
+    assert generic_le(BN0, seed=1) is rec
 
 
 def test_validation_rejects_non_critical_input():
@@ -316,17 +313,27 @@ def test_sigma_ideal_gens_are_the_partials():
     assert sorted(str(g) for g in S.gens) == ["2*x", "3*y^2"]
 
 
+def _refuse_apply_frame(*args):
+    raise AssertionError("apply_frame called")
+
+
 @pytest.mark.parametrize("member", CORPUS, ids=lambda m: m.name)
-def test_le_record_carries_its_germ_and_polar_varieties(member):
+def test_le_record_carries_its_germ_and_polar_varieties(member, monkeypatch):
     f = member.poly
     n1 = len(f.vars)
-    for frame in (Frame.identity(n1), Frame.rotation(n1), Frame.random(n1, 1)):
+    frames = (Frame.identity(n1), Frame.rotation(n1), *(Frame.random(n1, k) for k in range(3)))
+    for frame in frames:
         rec = lambda_numbers(f, frame)
         assert rec.h == apply_frame(f, frame)
         assert len(rec.polar) == rec.s + 1
-        for j in range(1, rec.s + 2):
-            # None on both routes when Gamma^j is not j-dimensional
-            assert rec.polar_mult(j) == polar_mult(f, frame, j), (frame, j)
+        # polar_mult counts Gamma^j pulled back to f's coordinates, where
+        # multiplicity and dimension at 0 are the frame's: it builds no
+        # reframed germ, and is None on both routes when Gamma^j is not
+        # j-dimensional
+        with monkeypatch.context() as m:
+            m.setattr(cycles, "apply_frame", _refuse_apply_frame)
+            got = [polar_mult(f, frame, j) for j in range(1, rec.s + 2)]
+        assert got == [rec.polar_mult(j) for j in range(1, rec.s + 2)], frame
         z0 = Polynomial.var_index(0, f.vars)
         assert rec.gamma1() == intersection_number(_polar(f, frame, 1), z0)
 

@@ -379,11 +379,33 @@ def _count_saturations(monkeypatch) -> list:
     return calls
 
 
+def _ladder_dim(K: Ideal) -> int:
+    """_ladder_quotient_dim(K, N), N the total colength of K read off its
+    grevlex basis, as truncated_quotient_dim hands it over."""
+    return _ladder_quotient_dim(K, local._colength(K.groebner(GREVLEX)))
+
+
 def test_ladder_branches():
-    assert _ladder_quotient_dim(I("x^2", "x*y", "y^3")) == 4
-    assert _ladder_quotient_dim(I("(1+x)*x^2", "y^2")) == 4
-    assert _ladder_quotient_dim(I("x-1", "y")) == 0
-    assert _ladder_quotient_dim(I("1")) == 0
+    assert _ladder_dim(I("x^2", "x*y", "y^3")) == 4
+    assert _ladder_dim(I("(1+x)*x^2", "y^2")) == 4
+    assert _ladder_dim(I("x-1", "y")) == 0
+    assert _ladder_dim(I("1")) == 0
+
+
+def test_a_ladder_call_reads_the_total_colength_once(monkeypatch):
+    germ = [parse("x^5", XY), parse("y^4", XY)]
+    K = _vanishing_at([(0, 1), (1, 0), (1, -1)], germ)
+    grevlex = K.groebner(GREVLEX)
+    reads = []
+    colength = local._colength
+
+    def counting(basis):
+        reads.append(basis)
+        return colength(basis)
+
+    monkeypatch.setattr(local, "_colength", counting)
+    assert truncated_quotient_dim(K) == 20 > local._SHORTCUT_MAX
+    assert [b for b in reads if b is grevlex] == [grevlex]
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,7 +414,7 @@ def test_ladder_agrees_with_lazard_and_mora(points, germ):
     K = _vanishing_at(points, germ)
     if dim(K) > 0:
         return
-    d = _ladder_quotient_dim(K)
+    d = _ladder_dim(K)
     at_origin = Ideal(germ or [Polynomial.constant(1, XY)], vars=XY)
     assert d == local_quotient_dim(K) == mora_quotient_dim(at_origin)
     if not germ:
@@ -403,14 +425,14 @@ def test_ladder_walks_past_forms_with_other_zeros(monkeypatch):
     saturations = _count_saturations(monkeypatch)
     germ = [parse("x^2", XY), parse("y^3", XY)]
     K = _vanishing_at([(0, 1), (1, 0), (1, -1)], germ)
-    assert _ladder_quotient_dim(K) == 6 == local_quotient_dim(K)
+    assert _ladder_dim(K) == 6 == local_quotient_dim(K)
     # x, y and x + y fail the certificate; x + 2y is saturated by
     assert [g for _, g in saturations] == [parse("x+2*y", XY)]
     J = I("x^2-y*z", "y^2", "z^3", vars=XYZ)
     p = [parse(t, XYZ) for t in ("x", "y-1", "z+1")]
     q = [parse(t, XYZ) for t in ("x", "y+1", "z-1")]
     K = Ideal([a * b * c for a in J.gens for b in p for c in q], vars=XYZ)
-    assert _ladder_quotient_dim(K) == local_quotient_dim(J) == local_quotient_dim(K)
+    assert _ladder_dim(K) == local_quotient_dim(J) == local_quotient_dim(K)
 
 
 def test_public_route_takes_the_ladder_above_the_shortcut(monkeypatch):
@@ -421,7 +443,7 @@ def test_public_route_takes_the_ladder_above_the_shortcut(monkeypatch):
     assert local_quotient_dim(Ideal(germ, vars=XY)) == 20 > local._SHORTCUT_MAX
     assert truncated_quotient_dim(K) == 20 == local_quotient_dim(K)
     assert len(saturations) == 1
-    assert _ladder_quotient_dim(K) == 20
+    assert _ladder_dim(K) == 20
 
 
 def test_small_ideal_with_another_point_takes_one_lazard_basis(monkeypatch):
@@ -479,7 +501,7 @@ def test_routes_agree_on_the_corpus_final_ideals(monkeypatch):
         if d is None:
             assert dim(Ideal(gens, vars=vars)) > 0
             continue
-        assert d == want == _ladder_quotient_dim(Ideal(gens, vars=vars))
+        assert d == want == _ladder_dim(Ideal(gens, vars=vars))
         N = local._colength(Ideal(gens, vars=vars).groebner())
         small_elsewhere += d < N <= local._SHORTCUT_MAX
     # the public route's Lazard branch is among them
